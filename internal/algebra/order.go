@@ -15,31 +15,37 @@ package algebra
 // ordering (the executor honors it with an ordered index scan or an
 // explicit sort); Sort establishes its keys; filters, limits, and
 // column-preserving projections pass order through.
-func DeliveredOrder(r Rel) []Ordering {
+func DeliveredOrder(r Rel) []Ordering { return DeriveDeliveredOrder(r, DeliveredOrder, OutputCols) }
+
+// DeriveDeliveredOrder computes r's delivered order from its input's
+// (order) and r's output columns (out), like DeriveOutputCols. The
+// result may share its backing array with the input's order or the
+// node's own fields and must not be modified.
+func DeriveDeliveredOrder(r Rel, order func(Rel) []Ordering, out func(Rel) ColSet) []Ordering {
 	switch t := r.(type) {
 	case *Get:
 		return t.Order
 	case *Sort:
 		return t.By
 	case *Select:
-		return DeliveredOrder(t.Input)
+		return order(t.Input)
 	case *Top:
-		return DeliveredOrder(t.Input)
+		return order(t.Input)
 	case *Max1Row:
-		return DeliveredOrder(t.Input)
+		return order(t.Input)
 	case *RowNumber:
-		return DeliveredOrder(t.Input)
+		return order(t.Input)
 	case *Project:
 		// Order survives projection up to the longest prefix whose
 		// columns are still visible in the output.
-		in := DeliveredOrder(t.Input)
+		in := order(t.Input)
 		if len(in) == 0 {
 			return nil
 		}
-		out := OutputCols(t)
+		cols := out(t)
 		n := 0
 		for _, o := range in {
-			if !out.Contains(o.Col) {
+			if !cols.Contains(o.Col) {
 				break
 			}
 			n++

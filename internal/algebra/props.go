@@ -3,12 +3,20 @@ package algebra
 import "fmt"
 
 // OutputCols returns the set of column IDs the expression produces.
-func OutputCols(r Rel) ColSet {
+func OutputCols(r Rel) ColSet { return DeriveOutputCols(r, OutputCols) }
+
+// DeriveOutputCols computes r's output columns from its inputs' output
+// columns as reported by in. OutputCols passes itself (a full
+// recursion); the optimizer's memo passes its per-node cache, so each
+// node derives its set once. The result may be a set returned by in
+// (a Select's output is its input's), so a caller that caches results
+// must treat them as read-only.
+func DeriveOutputCols(r Rel, in func(Rel) ColSet) ColSet {
 	switch t := r.(type) {
 	case *Get:
 		return NewColSet(t.Cols...)
 	case *Select:
-		return OutputCols(t.Input)
+		return in(t.Input)
 	case *Project:
 		out := t.Passthrough.Copy()
 		for _, it := range t.Items {
@@ -16,17 +24,15 @@ func OutputCols(r Rel) ColSet {
 		}
 		return out
 	case *Join:
-		out := OutputCols(t.Left)
 		if t.Kind.ReturnsRightCols() {
-			out.UnionWith(OutputCols(t.Right))
+			return in(t.Left).Union(in(t.Right))
 		}
-		return out
+		return in(t.Left)
 	case *Apply:
-		out := OutputCols(t.Left)
 		if t.Kind.ReturnsRightCols() {
-			out.UnionWith(OutputCols(t.Right))
+			return in(t.Left).Union(in(t.Right))
 		}
-		return out
+		return in(t.Left)
 	case *GroupBy:
 		out := t.GroupCols.Copy()
 		for _, a := range t.Aggs {
@@ -34,11 +40,11 @@ func OutputCols(r Rel) ColSet {
 		}
 		return out
 	case *SegmentApply:
-		return OutputCols(t.Inner)
+		return in(t.Inner)
 	case *SegmentRef:
 		return NewColSet(t.Cols...)
 	case *Max1Row:
-		return OutputCols(t.Input)
+		return in(t.Input)
 	case *UnionAll:
 		return NewColSet(t.OutCols...)
 	case *Difference:
@@ -46,13 +52,11 @@ func OutputCols(r Rel) ColSet {
 	case *Values:
 		return NewColSet(t.Cols...)
 	case *Sort:
-		return OutputCols(t.Input)
+		return in(t.Input)
 	case *Top:
-		return OutputCols(t.Input)
+		return in(t.Input)
 	case *RowNumber:
-		out := OutputCols(t.Input)
-		out.Add(t.Col)
-		return out
+		return in(t.Input).Union(NewColSet(t.Col))
 	}
 	panic(fmt.Sprintf("algebra: OutputCols: unhandled %T", r))
 }
@@ -118,35 +122,32 @@ func relScalars(r Rel) []Scalar {
 // that the expression does not itself produce. A non-empty result means
 // the expression is correlated — it is a parameterized expression in
 // the paper's sense.
-func OuterRefs(r Rel) ColSet {
+func OuterRefs(r Rel) ColSet { return DeriveOuterRefs(r, OuterRefs, OutputCols) }
+
+// DeriveOuterRefs computes r's outer references from its inputs' outer
+// references (outer) and the output columns of r and its inputs (out),
+// like DeriveOutputCols. The result is always a fresh set.
+func DeriveOuterRefs(r Rel, outer, out func(Rel) ColSet) ColSet {
 	var need ColSet
 	for _, s := range relScalars(r) {
 		need.UnionWith(scalarFreeCols(s))
 	}
+	// An Apply's right side's free refs may be bound by its left
+	// output — this is exactly what Apply is for — so inputs' outputs
+	// bind each other's references for every operator alike.
 	var bound ColSet
-	switch t := r.(type) {
-	case *Apply:
-		// Right side's free refs may be bound by Left's output — this
-		// is exactly what Apply is for.
-		need.UnionWith(OuterRefs(t.Left))
-		need.UnionWith(OuterRefs(t.Right))
-		bound = OutputCols(t.Left).Union(OutputCols(t.Right))
-	case *SegmentApply:
-		need.UnionWith(OuterRefs(t.Input))
-		need.UnionWith(OuterRefs(t.Inner))
-		bound = OutputCols(t.Input).Union(OutputCols(t.Inner))
+	for _, c := range r.Inputs() {
+		need.UnionWith(outer(c))
+		bound.UnionWith(out(c))
+	}
+	if t, ok := r.(*SegmentApply); ok {
 		// SegmentRef columns are bound by the apply itself.
 		for _, in := range collectSegmentRefs(t.Inner) {
 			bound.UnionWith(NewColSet(in.Cols...))
 		}
-	default:
-		for _, c := range r.Inputs() {
-			need.UnionWith(OuterRefs(c))
-			bound.UnionWith(OutputCols(c))
-		}
 	}
 	need.DifferenceWith(bound)
-	need.DifferenceWith(OutputCols(r))
+	need.DifferenceWith(out(r))
 	return need
 }
 

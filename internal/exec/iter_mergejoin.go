@@ -14,16 +14,15 @@ import (
 // a covering order (ordered index scans, ordered Apply outputs), or
 // forced via Context.ForceJoin with explicit sorts as the safety net.
 
-// mergeKeySeq picks the key comparison sequence for a merge join of j.
-// Equality conjuncts carry no inherent order, so the sequence is
-// aligned with the left input's delivered order when a permutation of
-// the key pairs matches it (making the left side sort-free); otherwise
-// the declared conjunct order is kept. lSorted/rSorted report whether
+// mergeKeySeq picks the key comparison sequence for a merge join whose
+// inputs deliver the orders dl and dr. Equality conjuncts carry no
+// inherent order, so the sequence is aligned with the left input's
+// delivered order when a permutation of the key pairs matches it
+// (making the left side sort-free); otherwise the declared conjunct
+// order is kept. lSorted/rSorted report whether
 // each input's delivered order covers the chosen sequence ascending —
 // sides not covered need an explicit sort.
-func mergeKeySeq(j *algebra.Join, lKeys, rKeys []algebra.ColID) (lSeq, rSeq []algebra.ColID, lSorted, rSorted bool) {
-	dl := algebra.DeliveredOrder(j.Left)
-	dr := algebra.DeliveredOrder(j.Right)
+func mergeKeySeq(dl, dr []algebra.Ordering, lKeys, rKeys []algebra.ColID) (lSeq, rSeq []algebra.ColID, lSorted, rSorted bool) {
 	n := len(lKeys)
 	if len(dl) >= n {
 		used := make([]bool, n)
@@ -65,7 +64,8 @@ func mergeKeySeq(j *algebra.Join, lKeys, rKeys []algebra.ColID) (lSeq, rSeq []al
 // need it; ForceJoin "hash" refuses.
 func maybeMergeJoin(ctx *Context, j *algebra.Join, left, right *node,
 	lKeys, rKeys []algebra.ColID, residual []algebra.Scalar) (*node, bool) {
-	lSeq, rSeq, lSorted, rSorted := mergeKeySeq(j, lKeys, rKeys)
+	lSeq, rSeq, lSorted, rSorted := mergeKeySeq(
+		algebra.DeliveredOrder(j.Left), algebra.DeliveredOrder(j.Right), lKeys, rKeys)
 	switch ctx.ForceJoin {
 	case "merge":
 		if !lSorted {

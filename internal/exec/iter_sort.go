@@ -29,10 +29,17 @@ func StreamAggApplicable(gb *algebra.GroupBy) bool {
 func MergeJoinApplicable(j *algebra.Join) bool {
 	lKeys, rKeys, _ := SplitJoinKeys(j.On,
 		algebra.OutputCols(j.Left), algebra.OutputCols(j.Right))
+	return MergeKeysSorted(algebra.DeliveredOrder(j.Left), algebra.DeliveredOrder(j.Right), lKeys, rKeys)
+}
+
+// MergeKeysSorted is MergeJoinApplicable on precomputed parts: the
+// join's equality keys and the orders its inputs deliver (which the
+// optimizer caches per plan node).
+func MergeKeysSorted(dl, dr []algebra.Ordering, lKeys, rKeys []algebra.ColID) bool {
 	if len(lKeys) == 0 {
 		return false
 	}
-	_, _, lSorted, rSorted := mergeKeySeq(j, lKeys, rKeys)
+	_, _, lSorted, rSorted := mergeKeySeq(dl, dr, lKeys, rKeys)
 	return lSorted && rSorted
 }
 

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"orthoq/internal/algebra"
-	"orthoq/internal/exec"
 	"orthoq/internal/sql/catalog"
 	"orthoq/internal/sql/types"
 	"orthoq/internal/stats"
@@ -43,16 +42,65 @@ type estimate struct {
 	cost float64
 }
 
-// coster computes plan cost and cardinality estimates.
+// coster computes plan cost and cardinality estimates. Estimates are
+// memoized per (plan node, context) in the memo: a subtree's estimate
+// depends only on the subtree and on the context it is costed in — the
+// columns bound as correlation parameters (which enable seeks) and the
+// innermost segment's row estimate (which SegmentRef leaves produce) —
+// so a cached float is bit-identical to a fresh recursive cost.
 type coster struct {
 	md  *algebra.Metadata
 	cat *catalog.Catalog
 	st  *stats.Collection
+	// m caches properties and estimates; created on first use.
+	m *memo
 	// bound marks columns available as correlation parameters in the
 	// current (Apply inner / segment) scope.
 	bound algebra.ColSet
 	// segRows estimates rows per segment for SegmentRef leaves.
 	segRows []float64
+	// ctx is the memo's ID for the current (bound, innermost segRows)
+	// context; 0 is the root context.
+	ctx int32
+}
+
+func (c *coster) memo() *memo {
+	if c.m == nil {
+		c.m = newMemo(c.md)
+	}
+	return c.m
+}
+
+// bindScope extends the bound columns with cols (an Apply's left
+// output) for costing its inner side; the returned func restores the
+// enclosing scope.
+func (c *coster) bindScope(cols algebra.ColSet) (restore func()) {
+	saved, savedCtx := c.bound, c.ctx
+	c.bound = c.bound.Union(cols)
+	c.ctx = c.memo().ctxID(c.bound, c.segTop())
+	return func() { c.bound, c.ctx = saved, savedCtx }
+}
+
+// segmentScope pushes a SegmentApply's rows-per-segment estimate for
+// costing its inner side; the returned func restores the enclosing
+// scope.
+func (c *coster) segmentScope(rowsPerSeg float64) (restore func()) {
+	savedCtx := c.ctx
+	c.segRows = append(c.segRows, rowsPerSeg)
+	c.ctx = c.memo().ctxID(c.bound, rowsPerSeg)
+	return func() {
+		c.segRows = c.segRows[:len(c.segRows)-1]
+		c.ctx = savedCtx
+	}
+}
+
+// segTop is the row count a SegmentRef leaf produces in the current
+// scope (1 outside any segment).
+func (c *coster) segTop() float64 {
+	if len(c.segRows) > 0 {
+		return c.segRows[len(c.segRows)-1]
+	}
+	return 1.0
 }
 
 // colStats fetches base-table column statistics for a column ID, if it
@@ -77,8 +125,34 @@ func (c *coster) distinct(id algebra.ColID, defRows float64) float64 {
 }
 
 // cost estimates a subtree.
-func (c *coster) cost(r algebra.Rel) estimate {
-	switch t := r.(type) {
+func (c *coster) cost(r algebra.Rel) estimate { return c.costNode(c.memo().node(r)) }
+
+// costNode returns n's estimate in the current context, from the memo
+// when it has been computed before.
+func (c *coster) costNode(n *node) estimate {
+	if n.hasEst && n.estCtx == c.ctx {
+		return n.est
+	}
+	if n.ext != nil {
+		for _, e := range n.ext.ests {
+			if e.ctx == c.ctx {
+				return e.est
+			}
+		}
+	}
+	est := c.derive(n)
+	if !n.hasEst {
+		n.est, n.estCtx, n.hasEst = est, c.ctx, true
+	} else {
+		n.x().ests = append(n.ext.ests, ctxEstimate{ctx: c.ctx, est: est})
+	}
+	return est
+}
+
+// derive estimates n from its inputs' estimates.
+func (c *coster) derive(n *node) estimate {
+	in := func() estimate { return c.costNode(n.kids[0]) }
+	switch t := n.rel.(type) {
 	case *algebra.Get:
 		return c.costGet(t, nil)
 
@@ -86,66 +160,63 @@ func (c *coster) cost(r algebra.Rel) estimate {
 		if g, ok := t.Input.(*algebra.Get); ok {
 			return c.costGet(g, t.Filter)
 		}
-		in := c.cost(t.Input)
+		in := in()
 		sel := c.selectivity(t.Filter, in.rows)
 		return estimate{rows: in.rows * sel, cost: in.cost + in.rows*cPredEval}
 
 	case *algebra.Project:
-		in := c.cost(t.Input)
+		in := in()
 		return estimate{rows: in.rows, cost: in.cost + in.rows*cPredEval*float64(1+len(t.Items))}
 
 	case *algebra.Join:
-		return c.costJoin(t)
+		return c.costJoin(n)
 
 	case *algebra.Apply:
-		return c.costApply(t)
+		return c.costApply(n)
 
 	case *algebra.GroupBy:
-		in := c.cost(t.Input)
+		in := in()
 		groups := c.groupCount(t, in.rows)
 		perRow := cHashRow
-		if exec.StreamAggApplicable(t) {
+		if c.m.streamAgg(n) {
 			// Grouped input streams: no hash table, one resident group.
 			perRow = cStreamRow
 		}
 		return estimate{rows: groups, cost: in.cost + in.rows*perRow*float64(1+len(t.Aggs))}
 
 	case *algebra.SegmentApply:
-		return c.costSegmentApply(t)
+		return c.costSegmentApply(n)
 
 	case *algebra.SegmentRef:
-		rows := 1.0
-		if len(c.segRows) > 0 {
-			rows = c.segRows[len(c.segRows)-1]
-		}
+		rows := c.segTop()
 		return estimate{rows: rows, cost: rows * cScanRow}
 
 	case *algebra.Max1Row:
-		in := c.cost(t.Input)
+		in := in()
 		return estimate{rows: math.Min(in.rows, 1), cost: in.cost}
 
 	case *algebra.UnionAll:
-		l, rr := c.cost(t.Left), c.cost(t.Right)
+		l, rr := c.costNode(n.kids[0]), c.costNode(n.kids[1])
 		return estimate{rows: l.rows + rr.rows, cost: l.cost + rr.cost}
 
 	case *algebra.Difference:
-		l, rr := c.cost(t.Left), c.cost(t.Right)
+		l, rr := c.costNode(n.kids[0]), c.costNode(n.kids[1])
 		return estimate{rows: math.Max(0, l.rows-rr.rows/2), cost: l.cost + rr.cost + (l.rows+rr.rows)*cHashRow}
 
 	case *algebra.Values:
 		return estimate{rows: float64(len(t.Rows)), cost: float64(len(t.Rows))}
 
 	case *algebra.Sort:
-		in := c.cost(t.Input)
+		in := in()
 		n := math.Max(in.rows, 2)
 		return estimate{rows: in.rows, cost: in.cost + n*math.Log2(n)*cSortRow}
 
 	case *algebra.Top:
-		in := c.cost(t.Input)
+		in := in()
 		return estimate{rows: math.Min(in.rows, float64(t.N)), cost: in.cost}
 
 	case *algebra.RowNumber:
-		in := c.cost(t.Input)
+		in := in()
 		return estimate{rows: in.rows, cost: in.cost + in.rows*cPredEval}
 	}
 	return estimate{rows: 1000, cost: 1e12}
@@ -218,11 +289,11 @@ func (c *coster) costGet(g *algebra.Get, filter algebra.Scalar) estimate {
 	return estimate{rows: outRows, cost: rows * (cScanRow + cPredEval)}
 }
 
-func (c *coster) costJoin(j *algebra.Join) estimate {
-	l := c.cost(j.Left)
-	r := c.cost(j.Right)
-	lk, rk, _ := exec.SplitJoinKeys(j.On,
-		algebra.OutputCols(j.Left), algebra.OutputCols(j.Right))
+func (c *coster) costJoin(n *node) estimate {
+	j := n.rel.(*algebra.Join)
+	l := c.costNode(n.kids[0])
+	r := c.costNode(n.kids[1])
+	lk, rk := c.m.joinKeys(n)
 
 	var outRows float64
 	sel := c.selectivity(j.On, l.rows*r.rows)
@@ -238,7 +309,7 @@ func (c *coster) costJoin(j *algebra.Join) estimate {
 	}
 
 	var cost float64
-	if len(lk) > 0 && exec.MergeJoinApplicable(j) {
+	if len(lk) > 0 && c.m.mergeJoin(n) {
 		// Both inputs pre-sorted on the keys: the engine merges two
 		// cursors — no build table, no hashing.
 		cost = l.cost + r.cost + (l.rows+r.rows)*cMergeRow
@@ -269,14 +340,14 @@ func (c *coster) costJoin(j *algebra.Join) estimate {
 // work per outer row is charged separately. Without usable column
 // statistics the distinct count falls back to the outer cardinality —
 // the legacy once-per-row charge.
-func (c *coster) costApply(a *algebra.Apply) estimate {
-	l := c.cost(a.Left)
-	saved := c.bound
-	c.bound = c.bound.Union(algebra.OutputCols(a.Left))
-	r := c.cost(a.Right)
-	c.bound = saved
+func (c *coster) costApply(n *node) estimate {
+	a := n.rel.(*algebra.Apply)
+	l := c.costNode(n.kids[0])
+	restore := c.bindScope(c.m.outputCols(n.kids[0]))
+	r := c.costNode(n.kids[1])
+	restore()
 
-	sig, _ := algebra.ApplyBindingCols(a)
+	sig := c.m.applySig(n)
 	execs := l.rows
 	if sig.Empty() {
 		// Uncorrelated inner: spooled, executed once.
@@ -314,17 +385,17 @@ func (c *coster) costApply(a *algebra.Apply) estimate {
 	return estimate{rows: math.Max(outRows, 0), cost: cost}
 }
 
-func (c *coster) costSegmentApply(sa *algebra.SegmentApply) estimate {
-	in := c.cost(sa.Input)
+func (c *coster) costSegmentApply(n *node) estimate {
+	sa := n.rel.(*algebra.SegmentApply)
+	in := c.costNode(n.kids[0])
 	segments := 1.0
 	for _, col := range sa.SegmentCols.Ordered() {
 		segments = math.Max(segments, c.distinct(col, in.rows))
 	}
 	segments = math.Min(segments, math.Max(in.rows, 1))
-	rowsPerSeg := in.rows / segments
-	c.segRows = append(c.segRows, rowsPerSeg)
-	inner := c.cost(sa.Inner)
-	c.segRows = c.segRows[:len(c.segRows)-1]
+	restore := c.segmentScope(in.rows / segments)
+	inner := c.costNode(n.kids[1])
+	restore()
 	return estimate{
 		rows: inner.rows * segments,
 		cost: in.cost + in.rows*cHashRow + segments*(inner.cost+cOpenIter),

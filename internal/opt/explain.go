@@ -93,10 +93,9 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.C
 		switch t := n.(type) {
 		case *algebra.Apply:
 			walk(t.Left, depth+1)
-			saved := c.bound
-			c.bound = c.bound.Union(algebra.OutputCols(t.Left))
+			restore := c.bindScope(algebra.OutputCols(t.Left))
 			walk(t.Right, depth+1)
-			c.bound = saved
+			restore()
 		case *algebra.SegmentApply:
 			walk(t.Input, depth+1)
 			in := c.cost(t.Input)
@@ -109,9 +108,9 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.C
 			if m := in.rows; segs > m && m >= 1 {
 				segs = m
 			}
-			c.segRows = append(c.segRows, in.rows/segs)
+			restore := c.segmentScope(in.rows / segs)
 			walk(t.Inner, depth+1)
-			c.segRows = c.segRows[:len(c.segRows)-1]
+			restore()
 		default:
 			for _, child := range n.Inputs() {
 				walk(child, depth+1)

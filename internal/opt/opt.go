@@ -93,10 +93,29 @@ type Result struct {
 }
 
 type frontierItem struct {
-	rel  algebra.Rel
+	n    *node
 	cost float64
-	// rules is the rewrite path from the seed to rel.
-	rules []string
+	// path is the rewrite path from the seed to n.
+	path *rulePath
+}
+
+// rulePath is a rewrite path as a parent-linked list: a candidate
+// extends its parent plan's path by one rule without copying it.
+type rulePath struct {
+	rule   string
+	parent *rulePath
+}
+
+// rules returns the path's rule names in application order.
+func (p *rulePath) rules() []string {
+	var out []string
+	for q := p; q != nil; q = q.parent {
+		out = append(out, q.rule)
+	}
+	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+		out[i], out[j] = out[j], out[i]
+	}
+	return out
 }
 
 type frontier []frontierItem
@@ -115,88 +134,89 @@ func (f *frontier) Pop() any {
 
 // candidate is one named single-rule rewrite.
 type candidate struct {
-	rel  algebra.Rel
+	n    *node
 	rule string
 }
 
 // Optimize runs best-first search from the normalized plan. Extra
 // seeds (equivalent formulations, e.g. the correlated Apply form — the
 // paper's §4 "introduction of correlated execution") join the frontier
-// so the search considers every strategy family.
+// so the search considers every strategy family. The search state is a
+// per-call memo (see memo): plans are deduplicated by interned class
+// ID and costed incrementally, which keeps the search order — and so
+// every chosen plan — exactly what whole-tree FormatRel keys and full
+// re-costing would give.
 func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 	maxSteps := o.Config.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 1200
 	}
-	cost := func(r algebra.Rel) float64 {
-		c := &coster{md: o.Md, cat: o.Cat, st: o.Stats}
-		return c.cost(r).cost
+	m := newMemo(o.Md)
+	c := &coster{md: o.Md, cat: o.Cat, st: o.Stats, m: m}
+	var shadow *shadowCheck
+	if report := shadowReport.Load(); report != nil {
+		shadow = newShadowCheck(*report)
 	}
 
-	seen := map[string]bool{}
+	seen := seenSet{ids: map[int32]bool{}}
 	var fr frontier
-	push := func(r algebra.Rel, rules []string) {
-		key := algebra.FormatRel(o.Md, r)
-		if seen[key] {
+	push := func(n *node, path *rulePath) {
+		if shadow != nil {
+			shadow.check(m, n)
+		}
+		if !seen.admit(m, n) {
 			return
 		}
-		seen[key] = true
-		heap.Push(&fr, frontierItem{rel: r, cost: cost(r), rules: rules})
+		heap.Push(&fr, frontierItem{n: n, cost: c.costNode(n).cost, path: path})
 	}
-	push(rel, nil)
+	root := m.node(rel)
+	push(root, nil)
 	for _, s := range seeds {
-		push(s, nil)
+		push(m.node(s), nil)
 	}
 
-	best := Result{Plan: rel, Cost: cost(rel)}
+	best, bestCost := frontierItem{n: root}, c.costNode(root).cost
 	steps := 0
 	for fr.Len() > 0 && steps < maxSteps {
 		item := heap.Pop(&fr).(frontierItem)
 		steps++
-		if item.cost < best.Cost {
-			best.Plan, best.Cost, best.Rules = item.rel, item.cost, item.rules
+		if item.cost < bestCost {
+			best, bestCost = item, item.cost
 		}
 		// Prune hopeless regions: anything an order of magnitude worse
 		// than the incumbent rarely leads anywhere better.
-		if item.cost > best.Cost*12 {
+		if item.cost > bestCost*12 {
 			continue
 		}
-		for _, n := range o.neighbors(item.rel) {
-			path := make([]string, len(item.rules), len(item.rules)+1)
-			copy(path, item.rules)
-			push(n.rel, append(path, n.rule))
+		for _, cand := range o.neighbors(m, item.n) {
+			push(cand.n, &rulePath{rule: cand.rule, parent: item.path})
 		}
 	}
-	best.Explored = steps
-	return &best
+	return &Result{Plan: best.n.rel, Cost: bestCost, Explored: steps, Rules: best.path.rules()}
 }
 
 // neighbors generates all single-rule rewrites anywhere in the tree,
 // tagged with the rule that produced them.
-func (o *Optimizer) neighbors(rel algebra.Rel) []candidate {
+func (o *Optimizer) neighbors(m *memo, n *node) []candidate {
 	var out []candidate
-	out = append(out, o.rulesAt(rel)...)
-	ins := rel.Inputs()
-	for i, child := range ins {
-		for _, nc := range o.neighbors(child) {
-			kids := make([]algebra.Rel, len(ins))
-			copy(kids, ins)
-			kids[i] = nc.rel
-			out = append(out, candidate{rel: rel.WithInputs(kids), rule: nc.rule})
+	out = append(out, o.rulesAt(m, n)...)
+	for i, child := range n.kids {
+		for _, nc := range o.neighbors(m, child) {
+			out = append(out, candidate{n: m.rebuilt(n, i, nc.n), rule: nc.rule})
 		}
 	}
 	return out
 }
 
 // rulesAt applies every enabled rule at the root of r.
-func (o *Optimizer) rulesAt(r algebra.Rel) []candidate {
+func (o *Optimizer) rulesAt(m *memo, n *node) []candidate {
 	var out []candidate
 	add := func(rule string, nr algebra.Rel, ok bool) {
 		if ok && nr != nil && !o.Config.disabled(rule) {
-			out = append(out, candidate{rel: nr, rule: rule})
+			out = append(out, candidate{n: m.node(nr), rule: rule})
 		}
 	}
-	switch t := r.(type) {
+	switch t := n.rel.(type) {
 	case *algebra.GroupBy:
 		if !o.Config.DisableGroupByReorder {
 			nr, ok := core.TryPushGroupByBelowJoin(o.Md, t)
@@ -213,7 +233,7 @@ func (o *Optimizer) rulesAt(r algebra.Rel) []candidate {
 			}
 		}
 		if !o.Config.DisableOrderOpt {
-			nr, ok := tryStreamAggOrder(o.Md, o.Cat, t)
+			nr, ok := tryStreamAggOrder(m, o.Cat, n)
 			add(RuleStreamAggOrder, nr, ok)
 		}
 	case *algebra.Join:
@@ -257,22 +277,22 @@ func (o *Optimizer) rulesAt(r algebra.Rel) []candidate {
 		if !o.Config.DisableJoinReorder {
 			nr, ok := commuteJoin(t)
 			add(RuleCommuteJoin, nr, ok)
-			nr, ok = rotateJoinRight(t)
+			nr, ok = rotateJoinRight(m, t)
 			add(RuleRotateJoin, nr, ok)
-			nr, ok = rotateJoinLeft(t)
+			nr, ok = rotateJoinLeft(m, t)
 			add(RuleRotateJoin, nr, ok)
 		}
 		if !o.Config.DisableCorrelatedReintro {
-			nr, ok := joinToApply(o.Md, o.Cat, t)
+			nr, ok := joinToApply(m, o.Cat, n)
 			add(RuleJoinToApply, nr, ok)
 		}
 		if !o.Config.DisableOrderOpt {
-			nr, ok := tryMergeJoinOrder(o.Md, o.Cat, t)
+			nr, ok := tryMergeJoinOrder(m, o.Cat, n)
 			add(RuleMergeJoinOrder, nr, ok)
 		}
 	case *algebra.Sort:
 		if !o.Config.DisableOrderOpt {
-			nr, ok := tryEliminateSort(o.Md, o.Cat, t)
+			nr, ok := tryEliminateSort(m, o.Cat, n)
 			add(RuleEliminateSort, nr, ok)
 		}
 	}

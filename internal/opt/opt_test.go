@@ -183,9 +183,12 @@ func TestJoinReorderRules(t *testing.T) {
 	base := runPlan(t, st, md, rel, out)
 	// Exercise each rewrite and confirm equivalence.
 	checked := 0
+	m := newMemo(md)
+	rotateLeft := func(j *algebra.Join) (algebra.Rel, bool) { return rotateJoinLeft(m, j) }
+	rotateRight := func(j *algebra.Join) (algebra.Rel, bool) { return rotateJoinRight(m, j) }
 	for _, j := range joins {
 		for _, rw := range []func(*algebra.Join) (algebra.Rel, bool){
-			commuteJoin, rotateJoinLeft, rotateJoinRight,
+			commuteJoin, rotateLeft, rotateRight,
 		} {
 			nr, ok := rw(j)
 			if !ok {

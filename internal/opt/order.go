@@ -2,7 +2,6 @@ package opt
 
 import (
 	"orthoq/internal/algebra"
-	"orthoq/internal/exec"
 	"orthoq/internal/sql/catalog"
 )
 
@@ -18,39 +17,40 @@ import (
 // either it already does (redundant Sort), or the requirement can be
 // pushed down a Select/Project spine onto a Get backed by a matching
 // ordered index.
-func tryEliminateSort(md *algebra.Metadata, cat *catalog.Catalog, s *algebra.Sort) (algebra.Rel, bool) {
-	if algebra.OrderCovers(algebra.DeliveredOrder(s.Input), s.By) {
+func tryEliminateSort(m *memo, cat *catalog.Catalog, n *node) (algebra.Rel, bool) {
+	s := n.rel.(*algebra.Sort)
+	if algebra.OrderCovers(m.delivered(n.kids[0]), s.By) {
 		return s.Input, true
 	}
-	return pushOrder(md, cat, s.Input, s.By)
+	return pushOrder(m, cat, s.Input, s.By)
 }
 
 // tryMergeJoinOrder orders both join inputs on the equality keys so
 // the executor selects a merge join. Inputs already covering their key
 // order are left alone; the others get the requirement pushed onto an
 // index-backed Get.
-func tryMergeJoinOrder(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Join) (algebra.Rel, bool) {
+func tryMergeJoinOrder(m *memo, cat *catalog.Catalog, n *node) (algebra.Rel, bool) {
+	j := n.rel.(*algebra.Join)
 	switch j.Kind {
 	case algebra.InnerJoin, algebra.SemiJoin, algebra.AntiSemiJoin, algebra.LeftOuterJoin:
 	default:
 		return nil, false
 	}
-	lKeys, rKeys, _ := exec.SplitJoinKeys(j.On,
-		algebra.OutputCols(j.Left), algebra.OutputCols(j.Right))
-	if len(lKeys) == 0 || exec.MergeJoinApplicable(j) {
+	lKeys, rKeys := m.joinKeys(n)
+	if len(lKeys) == 0 || m.mergeJoin(n) {
 		return nil, false
 	}
 	lBy, rBy := ascOrderings(lKeys), ascOrderings(rKeys)
 	newL, newR := j.Left, j.Right
-	if !algebra.OrderCovers(algebra.DeliveredOrder(newL), lBy) {
-		nl, ok := pushOrder(md, cat, newL, lBy)
+	if !algebra.OrderCovers(m.delivered(n.kids[0]), lBy) {
+		nl, ok := pushOrder(m, cat, newL, lBy)
 		if !ok {
 			return nil, false
 		}
 		newL = nl
 	}
-	if !algebra.OrderCovers(algebra.DeliveredOrder(newR), rBy) {
-		nr, ok := pushOrder(md, cat, newR, rBy)
+	if !algebra.OrderCovers(m.delivered(n.kids[1]), rBy) {
+		nr, ok := pushOrder(m, cat, newR, rBy)
 		if !ok {
 			return nil, false
 		}
@@ -64,11 +64,12 @@ func tryMergeJoinOrder(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Jo
 // tryStreamAggOrder orders a GroupBy's input on its grouping columns
 // (in the column sequence of a matching ordered index) so every group
 // arrives contiguously and the executor aggregates streaming.
-func tryStreamAggOrder(md *algebra.Metadata, cat *catalog.Catalog, gb *algebra.GroupBy) (algebra.Rel, bool) {
+func tryStreamAggOrder(m *memo, cat *catalog.Catalog, n *node) (algebra.Rel, bool) {
+	gb := n.rel.(*algebra.GroupBy)
 	if gb.GroupCols.Empty() {
 		return nil, false
 	}
-	if algebra.GroupedBy(algebra.DeliveredOrder(gb.Input), gb.GroupCols) {
+	if m.streamAgg(n) {
 		return nil, false // already grouped
 	}
 	g, ok := spineGet(gb.Input)
@@ -79,7 +80,7 @@ func tryStreamAggOrder(md *algebra.Metadata, cat *catalog.Catalog, gb *algebra.G
 	if by == nil {
 		return nil, false
 	}
-	in, ok := pushOrder(md, cat, gb.Input, by)
+	in, ok := pushOrder(m, cat, gb.Input, by)
 	if !ok {
 		return nil, false
 	}
@@ -101,7 +102,7 @@ func ascOrderings(cols []algebra.ColID) []algebra.Ordering {
 // provided a matching ordered index exists. Select and order-column-
 // preserving Project pass the requirement through unchanged (their
 // DeliveredOrder derivations mirror this exactly).
-func pushOrder(md *algebra.Metadata, cat *catalog.Catalog, r algebra.Rel, by []algebra.Ordering) (algebra.Rel, bool) {
+func pushOrder(m *memo, cat *catalog.Catalog, r algebra.Rel, by []algebra.Ordering) (algebra.Rel, bool) {
 	switch t := r.(type) {
 	case *algebra.Get:
 		if len(t.Order) > 0 {
@@ -114,7 +115,7 @@ func pushOrder(md *algebra.Metadata, cat *catalog.Catalog, r algebra.Rel, by []a
 		ng.Order = append([]algebra.Ordering(nil), by...)
 		return &ng, true
 	case *algebra.Select:
-		in, ok := pushOrder(md, cat, t.Input, by)
+		in, ok := pushOrder(m, cat, t.Input, by)
 		if !ok {
 			return nil, false
 		}
@@ -122,13 +123,13 @@ func pushOrder(md *algebra.Metadata, cat *catalog.Catalog, r algebra.Rel, by []a
 	case *algebra.Project:
 		// The order columns must come from below the projection (an
 		// item-computed column has no index).
-		below := algebra.OutputCols(t.Input)
+		below := m.outFn(t.Input)
 		for _, o := range by {
 			if !below.Contains(o.Col) {
 				return nil, false
 			}
 		}
-		in, ok := pushOrder(md, cat, t.Input, by)
+		in, ok := pushOrder(m, cat, t.Input, by)
 		if !ok {
 			return nil, false
 		}

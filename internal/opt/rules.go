@@ -21,7 +21,7 @@ func commuteJoin(j *algebra.Join) (algebra.Rel, bool) {
 // equalities so that rotations expose joins the original spelling hid
 // — e.g. Q17's l_partkey = l2_partkey, implied through p_partkey,
 // which SegmentApply detection needs (Figure 6).
-func rotateJoinRight(j *algebra.Join) (algebra.Rel, bool) {
+func rotateJoinRight(m *memo, j *algebra.Join) (algebra.Rel, bool) {
 	if !innerOrCross(j.Kind) {
 		return nil, false
 	}
@@ -30,7 +30,7 @@ func rotateJoinRight(j *algebra.Join) (algebra.Rel, bool) {
 		return nil, false
 	}
 	a, b, c := lj.Left, lj.Right, j.Right
-	bcCols := algebra.OutputCols(b).Union(algebra.OutputCols(c))
+	bcCols := m.outFn(b).Union(m.outFn(c))
 	inner, outer := splitConjuncts(
 		eqClosure(append(algebra.Conjuncts(lj.On), algebra.Conjuncts(j.On)...)), bcCols)
 	nj := &algebra.Join{Kind: joinKindFor(inner), Left: b, Right: c, On: onFor(inner)}
@@ -38,7 +38,7 @@ func rotateJoinRight(j *algebra.Join) (algebra.Rel, bool) {
 }
 
 // rotateJoinLeft reassociates A ⋈ (B ⋈ C) into (A ⋈ B) ⋈ C.
-func rotateJoinLeft(j *algebra.Join) (algebra.Rel, bool) {
+func rotateJoinLeft(m *memo, j *algebra.Join) (algebra.Rel, bool) {
 	if !innerOrCross(j.Kind) {
 		return nil, false
 	}
@@ -47,7 +47,7 @@ func rotateJoinLeft(j *algebra.Join) (algebra.Rel, bool) {
 		return nil, false
 	}
 	a, b, c := j.Left, rj.Left, rj.Right
-	abCols := algebra.OutputCols(a).Union(algebra.OutputCols(b))
+	abCols := m.outFn(a).Union(m.outFn(b))
 	inner, outer := splitConjuncts(
 		eqClosure(append(algebra.Conjuncts(rj.On), algebra.Conjuncts(j.On)...)), abCols)
 	nj := &algebra.Join{Kind: joinKindFor(inner), Left: a, Right: b, On: onFor(inner)}
@@ -145,7 +145,8 @@ func onFor(conjs []algebra.Scalar) algebra.Scalar {
 // simplest and most common being index-lookup-join"): a join whose
 // right side is a base-table access with an index on an equality
 // column becomes an Apply that seeks the index once per outer row.
-func joinToApply(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Join) (algebra.Rel, bool) {
+func joinToApply(m *memo, cat *catalog.Catalog, n *node) (algebra.Rel, bool) {
+	j := n.rel.(*algebra.Join)
 	if j.On == nil {
 		return nil, false
 	}
@@ -173,7 +174,7 @@ func joinToApply(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Join) (a
 	}
 	// Some equality conjunct must bind an indexed column of the right
 	// table to a left-side expression.
-	leftCols := algebra.OutputCols(j.Left)
+	leftCols := m.outputCols(n.kids[0])
 	rightCols := algebra.NewColSet(get.Cols...)
 	seekable := false
 	for _, conj := range algebra.Conjuncts(j.On) {
@@ -193,7 +194,7 @@ func joinToApply(md *algebra.Metadata, cat *catalog.Catalog, j *algebra.Join) (a
 		if !algebra.ScalarCols(other).SubsetOf(leftCols) {
 			continue
 		}
-		ord := md.Column(cr.Col).Ord
+		ord := m.md.Column(cr.Col).Ord
 		if tbl.IndexOn([]int{ord}) != nil {
 			seekable = true
 			break

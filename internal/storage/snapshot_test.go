@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -67,21 +69,86 @@ func TestInsertAllAtomicPublication(t *testing.T) {
 	}
 }
 
-func TestIndexStalenessPreserved(t *testing.T) {
-	// Rows inserted after BuildIndexes are visible to scans but not to
-	// index lookups until the next BuildIndexes.
+func TestUnindexedTailVisibleToLookups(t *testing.T) {
+	// Rows inserted after BuildIndexes are not in the index structures,
+	// but every index read covers them: Lookup and RangeScan on the
+	// stale version answer exactly what a rebuilt index answers.
 	tbl := newTestTable(t, 10)
 	tbl.Insert(types.Row{types.NewInt(200), types.NewInt(3), types.NewFloat(0)})
+	tbl.Insert(types.Row{types.NewInt(-5), types.NewInt(3), types.NewFloat(0)})
+	tbl.Insert(types.Row{types.NewInt(4), types.NewInt(9), types.NewFloat(0)})
 	v := tbl.Version()
-	if v.RowCount() != 11 {
-		t.Fatalf("scan sees %d rows, want 11", v.RowCount())
+	if v.RowCount() != 13 {
+		t.Fatalf("scan sees %d rows, want 13", v.RowCount())
 	}
-	if got := v.Lookup("t_pk", []types.Datum{types.NewInt(200)}); len(got) != 0 {
-		t.Errorf("unindexed row visible to lookup: %v", got)
+	if got := v.Lookup("t_pk", []types.Datum{types.NewInt(200)}); len(got) != 1 || got[0] != 10 {
+		t.Errorf("ordered lookup of an unindexed row: %v, want [10]", got)
+	}
+	if got := v.Lookup("t_grp", []types.Datum{types.NewInt(3)}); len(got) != 3 || got[1] != 10 || got[2] != 11 {
+		t.Errorf("hash lookup over indexed and unindexed rows: %v, want [3 10 11]", got)
+	}
+	if _, ok := v.OrderedScan("t_pk"); ok {
+		t.Error("OrderedScan handed out a permutation that misses the unindexed rows")
+	}
+	stale := map[string][]int{
+		"pk 4":    v.Lookup("t_pk", []types.Datum{types.NewInt(4)}),
+		"grp 9":   v.Lookup("t_grp", []types.Datum{types.NewInt(9)}),
+		"range":   v.RangeScan("t_pk", []types.Datum{types.NewInt(-10)}, []types.Datum{types.NewInt(5)}),
+		"all":     v.RangeScan("t_pk", nil, nil),
+		"low":     v.RangeScan("t_pk", nil, []types.Datum{types.NewInt(0)}),
+		"missing": v.Lookup("t_pk", []types.Datum{types.NewInt(7000)}),
 	}
 	tbl.BuildIndexes()
-	if got := tbl.Lookup("t_pk", []types.Datum{types.NewInt(200)}); len(got) != 1 {
-		t.Errorf("after BuildIndexes lookup found %d rows, want 1", len(got))
+	fresh := tbl.Version()
+	want := map[string][]int{
+		"pk 4":    fresh.Lookup("t_pk", []types.Datum{types.NewInt(4)}),
+		"grp 9":   fresh.Lookup("t_grp", []types.Datum{types.NewInt(9)}),
+		"range":   fresh.RangeScan("t_pk", []types.Datum{types.NewInt(-10)}, []types.Datum{types.NewInt(5)}),
+		"all":     fresh.RangeScan("t_pk", nil, nil),
+		"low":     fresh.RangeScan("t_pk", nil, []types.Datum{types.NewInt(0)}),
+		"missing": fresh.Lookup("t_pk", []types.Datum{types.NewInt(7000)}),
+	}
+	for k, w := range want {
+		if fmt.Sprint(stale[k]) != fmt.Sprint(w) {
+			t.Errorf("%s: stale index answered %v, rebuilt index %v", k, stale[k], w)
+		}
+	}
+	if got := want["range"]; len(got) != 7 || got[0] != 11 || got[6] != 12 {
+		t.Errorf("range [-10, 5) = %v, want [11 0 1 2 3 4 12]", got)
+	}
+}
+
+func TestUnindexedTailMatchesRebuild(t *testing.T) {
+	// Property: after random inserts past the last BuildIndexes, every
+	// lookup and range scan equals the rebuilt index's answer.
+	rnd := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 50; iter++ {
+		tbl := newTestTable(t, rnd.Intn(40))
+		for i, n := 0, rnd.Intn(30); i < n; i++ {
+			id := int64(rnd.Intn(80) - 20)
+			tbl.Insert(types.Row{types.NewInt(id), types.NewInt(int64(rnd.Intn(9))), types.NewFloat(0)})
+		}
+		stale := tbl.Version()
+		tbl.BuildIndexes()
+		fresh := tbl.Version()
+		for k := int64(-22); k < 62; k += 3 {
+			key := []types.Datum{types.NewInt(k)}
+			grp := []types.Datum{types.NewInt(k % 9)}
+			hiKey := []types.Datum{types.NewInt(k + int64(rnd.Intn(20)))}
+			for _, c := range []struct {
+				what      string
+				got, want []int
+			}{
+				{"pk", stale.Lookup("t_pk", key), fresh.Lookup("t_pk", key)},
+				{"grp", stale.Lookup("t_grp", grp), fresh.Lookup("t_grp", grp)},
+				{"range", stale.RangeScan("t_pk", key, hiKey), fresh.RangeScan("t_pk", key, hiKey)},
+				{"from", stale.RangeScan("t_pk", key, nil), fresh.RangeScan("t_pk", key, nil)},
+			} {
+				if fmt.Sprint(c.got) != fmt.Sprint(c.want) {
+					t.Fatalf("%s at %d: stale %v, rebuilt %v", c.what, k, c.got, c.want)
+				}
+			}
+		}
 	}
 }
 

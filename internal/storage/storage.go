@@ -33,10 +33,13 @@ import (
 // safe for concurrent use by any number of readers; nothing reachable
 // from a Version is ever mutated after publication.
 //
-// Index staleness semantics are unchanged from the pre-versioned
-// store: indexes cover the rows present at the last BuildIndexes, so
-// rows inserted afterwards are visible to scans but not to index
-// lookups until the next BuildIndexes (Analyze).
+// Indexes cover the rows present at the last BuildIndexes (Analyze).
+// Rows inserted afterwards — the version's un-indexed tail — are not
+// in the index structures, so Lookup and RangeScan also check the tail
+// row by row: every index read answers exactly what a freshly built
+// index would, at a cost that grows with the tail until the next
+// BuildIndexes. OrderedScan, which hands out the bare permutation,
+// instead reports a stale index as absent.
 type Version struct {
 	// Schema is the catalog schema of the table (immutable).
 	Schema *catalog.Table
@@ -100,8 +103,9 @@ func (v *Version) HasIndex(name string) bool {
 }
 
 // Lookup returns the ordinals of rows whose index columns equal the
-// given key datums, using the named index. The index must exist (the
-// optimizer only emits lookups against catalog indexes).
+// given key datums, using the named index. Rows inserted after the
+// index was built are checked directly. The index must exist (the optimizer only emits lookups against catalog
+// indexes).
 func (v *Version) Lookup(indexName string, key []types.Datum) []int {
 	if hi, ok := v.hashIdx[indexName]; ok {
 		probe := types.Row(key)
@@ -116,10 +120,21 @@ func (v *Version) Lookup(indexName string, key []types.Datum) []int {
 				out = append(out, ord)
 			}
 		}
+		for ord := len(hi.rows); ord < len(v.rows); ord++ {
+			if types.EqualRows(v.rows[ord], hi.cols, probe, kOrds) {
+				out = append(out, ord)
+			}
+		}
 		return out
 	}
 	if oi, ok := v.ordIdx[indexName]; ok {
-		return oi.lookup(key)
+		out := oi.lookup(key)
+		for ord := len(oi.rows); ord < len(v.rows); ord++ {
+			if oi.cmpRow(v.rows[ord], key) == 0 {
+				out = append(out, ord)
+			}
+		}
+		return out
 	}
 	return nil
 }
@@ -129,16 +144,18 @@ func (v *Version) LookupOrds(index string, key []types.Datum) []int {
 	return v.Lookup(index, key)
 }
 
-func (oi *orderedIndex) lookup(key []types.Datum) []int {
-	cmpAt := func(i int) int {
-		r := oi.rows[oi.perm[i]]
-		for j, kd := range key {
-			if c := types.Compare(r[oi.cols[j]], kd); c != 0 {
-				return c
-			}
+// cmpRow compares r's index columns with key (a prefix of them).
+func (oi *orderedIndex) cmpRow(r types.Row, key []types.Datum) int {
+	for j, kd := range key {
+		if c := types.Compare(r[oi.cols[j]], kd); c != 0 {
+			return c
 		}
-		return 0
 	}
+	return 0
+}
+
+func (oi *orderedIndex) lookup(key []types.Datum) []int {
+	cmpAt := func(i int) int { return oi.cmpRow(oi.rows[oi.perm[i]], key) }
 	lo := sort.Search(len(oi.perm), func(i int) bool { return cmpAt(i) >= 0 })
 	var out []int
 	for i := lo; i < len(oi.perm) && cmpAt(i) == 0; i++ {
@@ -163,21 +180,15 @@ func (v *Version) OrderedScan(indexName string) ([]int, bool) {
 }
 
 // RangeScan returns row ordinals with lo <= indexCols < hi (nil bound =
-// unbounded), via the named ordered index.
+// unbounded), via the named ordered index, in index order (ties in
+// ordinal order). Rows inserted after the index was built are checked
+// directly and merged in, so the answer equals a fresh index's.
 func (v *Version) RangeScan(indexName string, lo, hi []types.Datum) []int {
 	oi, ok := v.ordIdx[indexName]
 	if !ok {
 		return nil
 	}
-	cmpKey := func(i int, key []types.Datum) int {
-		r := oi.rows[oi.perm[i]]
-		for j, kd := range key {
-			if c := types.Compare(r[oi.cols[j]], kd); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
+	cmpKey := func(i int, key []types.Datum) int { return oi.cmpRow(oi.rows[oi.perm[i]], key) }
 	start := 0
 	if lo != nil {
 		start = sort.Search(len(oi.perm), func(i int) bool { return cmpKey(i, lo) >= 0 })
@@ -189,6 +200,28 @@ func (v *Version) RangeScan(indexName string, lo, hi []types.Datum) []int {
 	out := make([]int, 0, end-start)
 	for i := start; i < end; i++ {
 		out = append(out, oi.perm[i])
+	}
+	tail := false
+	for ord := len(oi.rows); ord < len(v.rows); ord++ {
+		r := v.rows[ord]
+		if (lo == nil || oi.cmpRow(r, lo) >= 0) && (hi == nil || oi.cmpRow(r, hi) < 0) {
+			out = append(out, ord)
+			tail = true
+		}
+	}
+	if tail {
+		// The indexed prefix is already in index order with ties by
+		// ordinal, and the tail rows follow in ordinal order, so a
+		// stable sort by key yields exactly a rebuilt index's order.
+		sort.SliceStable(out, func(a, b int) bool {
+			ra, rb := v.rows[out[a]], v.rows[out[b]]
+			for _, c := range oi.cols {
+				if cmp := types.Compare(ra[c], rb[c]); cmp != 0 {
+					return cmp < 0
+				}
+			}
+			return false
+		})
 	}
 	return out
 }

@@ -25,6 +25,18 @@ go build ./...
 # before the full suite runs.
 go test -run TestBatchRowEquivalence -race .
 
+# Search-invariance leg: the optimizer's memo (interned plan nodes,
+# cached per-node properties, bitset ColSet) must reproduce the pinned
+# TPC-H search outcomes exactly — chosen plan, explored count, cost bit
+# pattern and rule path (internal/opt/testdata/tpch_search.golden) —
+# and, with the shadow check on, give two pushed plans the same class
+# ID exactly when FormatRel renders them equally, over TPC-H and the
+# rule witnesses. Then the ColSet bitset's differential property test
+# against a map-based reference.
+go test -run 'TestSearchGolden|TestSearchShadow|TestSeenSet' -race ./internal/opt
+go test -run 'TestSearchShadowCorpus' -race .
+go test -run 'TestColSet' -race ./internal/algebra
+
 # Apply-strategy smoke leg: the binding-batch experiment at a tiny
 # scale factor verifies all three Apply strategies return identical
 # results on the correlated workloads and that the trace counters
