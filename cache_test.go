@@ -748,4 +748,13 @@ func TestCacheStaleOrderedIndexStillSorted(t *testing.T) {
 			t.Fatalf("row %d out of order: %d < %d", i, r2.Data[i-1][0].Int(), r2.Data[i][0].Int())
 		}
 	}
+	// EXPLAIN reports the scan-plus-sort the executor falls back to,
+	// not the index-order scan the plan asked for.
+	out, err := db.Explain(q, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out, "sort elided") || !strings.Contains(out, "scan+sort") {
+		t.Fatalf("EXPLAIN over a stale ordered index must show scan+sort:\n%s", out)
+	}
 }

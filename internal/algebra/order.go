@@ -117,3 +117,105 @@ func OrderingsEqual(a, b []Ordering) bool {
 	}
 	return true
 }
+
+// The predicates below are pure on the logical tree. The executor's
+// physical selection (merge vs hash join, stream vs hash aggregation)
+// and the optimizer's cost model both call them, so the two agree on
+// when an order-exploiting algorithm applies; only the executor
+// decides which algorithm runs.
+
+// AscOrder renders a column sequence as an all-ascending ordering.
+func AscOrder(cols []ColID) []Ordering {
+	by := make([]Ordering, len(cols))
+	for i, c := range cols {
+		by[i] = Ordering{Col: c}
+	}
+	return by
+}
+
+// SplitJoinKeys extracts equi-join keys (left-col = right-col
+// conjuncts) from a join predicate, returning the paired key columns
+// and the residual conjuncts. leftCols and rightCols are the two
+// inputs' output columns.
+func SplitJoinKeys(on Scalar, leftCols, rightCols ColSet) (lk, rk []ColID, residual []Scalar) {
+	for _, c := range Conjuncts(on) {
+		if cmp, ok := c.(*Cmp); ok && cmp.Op == CmpEq {
+			l, lok := cmp.L.(*ColRef)
+			r, rok := cmp.R.(*ColRef)
+			if lok && rok {
+				switch {
+				case leftCols.Contains(l.Col) && rightCols.Contains(r.Col):
+					lk = append(lk, l.Col)
+					rk = append(rk, r.Col)
+					continue
+				case leftCols.Contains(r.Col) && rightCols.Contains(l.Col):
+					lk = append(lk, r.Col)
+					rk = append(rk, l.Col)
+					continue
+				}
+			}
+		}
+		residual = append(residual, c)
+	}
+	return lk, rk, residual
+}
+
+// MergeKeySeq picks the key comparison sequence for a merge join whose
+// inputs deliver the orders dl and dr. Equality conjuncts carry no
+// inherent order, so the sequence is aligned with the left input's
+// delivered order when a permutation of the key pairs matches it
+// (making the left side sort-free); otherwise the declared conjunct
+// order is kept. lSorted/rSorted report whether each input's delivered
+// order covers the chosen sequence ascending — sides not covered need
+// an explicit sort.
+func MergeKeySeq(dl, dr []Ordering, lKeys, rKeys []ColID) (lSeq, rSeq []ColID, lSorted, rSorted bool) {
+	n := len(lKeys)
+	if len(dl) >= n {
+		used := make([]bool, n)
+		ls := make([]ColID, 0, n)
+		rs := make([]ColID, 0, n)
+		ok := true
+		for i := 0; i < n && ok; i++ {
+			if dl[i].Desc {
+				ok = false
+				break
+			}
+			found := -1
+			for k := 0; k < n; k++ {
+				if !used[k] && lKeys[k] == dl[i].Col {
+					found = k
+					break
+				}
+			}
+			if found < 0 {
+				ok = false
+				break
+			}
+			used[found] = true
+			ls = append(ls, lKeys[found])
+			rs = append(rs, rKeys[found])
+		}
+		if ok {
+			return ls, rs, true, OrderCovers(dr, AscOrder(rs))
+		}
+	}
+	return lKeys, rKeys, OrderCovers(dl, AscOrder(lKeys)), OrderCovers(dr, AscOrder(rKeys))
+}
+
+// MergeKeysSorted reports whether an equi-join with keys lKeys/rKeys
+// over inputs delivering dl and dr can merge without sorting either
+// side: keys exist and both delivered orders cover a key sequence.
+func MergeKeysSorted(dl, dr []Ordering, lKeys, rKeys []ColID) bool {
+	if len(lKeys) == 0 {
+		return false
+	}
+	_, _, lSorted, rSorted := MergeKeySeq(dl, dr, lKeys, rKeys)
+	return lSorted && rSorted
+}
+
+// StreamAggApplicable reports whether gb's input delivers an order
+// that makes every group contiguous, i.e. whether the aggregation can
+// stream over sorted input without a hash table.
+func StreamAggApplicable(gb *GroupBy) bool {
+	return GroupedBy(DeliveredOrder(gb.Input), gb.GroupCols)
+}

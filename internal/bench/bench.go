@@ -214,5 +214,5 @@ func CostOf(db *DB, md *algebra.Metadata, rel algebra.Rel) float64 {
 
 // ExplainCost exposes cost-annotated plan formatting for diagnostics.
 func ExplainCost(db *DB, md *algebra.Metadata, rel algebra.Rel) string {
-	return opt.FormatWithEstimates(md, db.Store.Catalog, db.Stats, rel)
+	return opt.FormatWithEstimates(md, db.Store.Catalog, db.Stats, rel, nil)
 }

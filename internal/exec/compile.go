@@ -157,10 +157,11 @@ func compileNode(ctx *Context, rel algebra.Rel) (*node, error) {
 			useStream = true
 		case "hash":
 		default:
-			useStream = !ctx.DisableOrderOpt && StreamAggApplicable(t)
+			useStream = !ctx.DisableOrderOpt && algebra.StreamAggApplicable(t)
 		}
 		if useStream {
-			if !StreamAggApplicable(t) {
+			ctx.noteStrategy(t, "stream")
+			if !algebra.StreamAggApplicable(t) {
 				// Forced streaming over ungrouped input: sort by the
 				// group columns first (the correctness net).
 				in = sortWrapNode(ctx, in, t.GroupCols.Ordered(), t)
@@ -169,6 +170,7 @@ func compileNode(ctx *Context, rel algebra.Rel) (*node, error) {
 				st: ctx.traceStats(t)})
 			return newNode(maybeCacheSub(ctx, t, agg), cols), nil
 		}
+		ctx.noteStrategy(t, "hash")
 		hint := estimateGroups(ctx, t, estimateRows(ctx, t.Input))
 		agg := iterator(&hashAggIter{ctx: ctx, in: in, gb: t, cols: cols,
 			sizeHint: hint, st: ctx.traceStats(t)})

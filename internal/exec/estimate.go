@@ -77,28 +77,16 @@ const (
 	applyParMinOuter = 4096
 )
 
-// chooseApplyStrategy picks the execution strategy for an Apply from
-// the Config override (ctx.ApplyStrategy) or, by default, from the
-// estimated outer cardinality.
-func chooseApplyStrategy(ctx *Context, a *algebra.Apply, sig algebra.ColSet) applyStrategy {
-	return pickApplyStrategy(ctx, a, sig, float64(estimateRows(ctx, a.Left)))
-}
-
-// PredictApplyStrategy reports the strategy name an Apply would run
-// under given an outer-cardinality estimate; EXPLAIN uses it to
-// annotate plans without compiling them. outerRows ≤ 0 means unknown.
-func PredictApplyStrategy(ctx *Context, a *algebra.Apply, outerRows float64) string {
-	sig, _ := algebra.ApplyBindingCols(a)
-	return pickApplyStrategy(ctx, a, sig, outerRows).String()
-}
-
 // applyDedupMinRatio is the outer-rows-per-distinct-binding ratio
 // below which batching is pointless: when nearly every binding is
 // unique the cache never hits and the batch machinery is pure
 // overhead, so the selector stays sequential.
 const applyDedupMinRatio = 1.25
 
-func pickApplyStrategy(ctx *Context, a *algebra.Apply, sig algebra.ColSet, outerRows float64) applyStrategy {
+// chooseApplyStrategy picks the execution strategy for an Apply from
+// the Config override (ctx.ApplyStrategy) or, by default, from the
+// estimated outer cardinality (0 when unknown).
+func chooseApplyStrategy(ctx *Context, a *algebra.Apply, sig algebra.ColSet) applyStrategy {
 	// An inner side holding SegmentRef leaves bound by an enclosing
 	// SegmentApply cannot be recompiled on a worker context; cap the
 	// strategy at batched.
@@ -114,6 +102,7 @@ func pickApplyStrategy(ctx *Context, a *algebra.Apply, sig algebra.ColSet, outer
 		}
 		return applyParallel
 	}
+	outerRows := float64(estimateRows(ctx, a.Left))
 	if sig.Empty() || ctx.DisableBatch {
 		// Uncorrelated inners are spooled on the sequential path;
 		// DisableBatch pins the engine to pure row-at-a-time plans.

@@ -2,13 +2,18 @@
 // trees into pull-based (Volcano-style) iterator trees over the
 // in-memory store and runs them.
 //
-// Physical algorithm selection mirrors the cost model in internal/opt:
-// joins with extractable equality keys run as hash joins, other joins
-// as nested loops; Apply runs as correlated nested loops whose inner
-// side re-opens per outer row, using index seeks when the correlated
-// predicate binds an indexed column (the classic index-lookup-join);
-// aggregation is hash-based; SegmentApply partitions its input and
-// evaluates the inner expression once per segment (paper §3.4).
+// Physical algorithm selection happens here, at compile time, and
+// nowhere else: equi-joins merge when both inputs already deliver a
+// covering key order and hash otherwise, other joins run as nested
+// loops; aggregation streams over grouped input and hashes otherwise;
+// Apply runs its inner side sequentially (re-opened per outer row,
+// with index seeks on the correlated columns — the classic
+// index-lookup join), batched per distinct binding, or in parallel
+// (estimate.go); a Get with an Order walks a fresh ordered index or
+// sorts a full scan. Each choice is recorded in OpStats.Strategy, and
+// Strategies reports them without running the plan — EXPLAIN prints
+// those. SegmentApply partitions its input and evaluates the inner
+// expression once per segment (paper §3.4).
 package exec
 
 import (
@@ -638,6 +643,45 @@ func Run(ctx *Context, rel algebra.Rel, outCols []algebra.ColID) (res *Result, e
 		}
 		res.Rows = append(res.Rows, out)
 	}
+}
+
+// Strategies compiles rel under ctx without opening it and returns the
+// physical algorithm the compiler chose for each operator that has a
+// choice (see OpStats.Strategy). ctx must be set up as for a Run of
+// the same plan; EXPLAIN uses this to print exec's decisions. The
+// subtree below a parallel exchange is compiled once more on a worker
+// context, as every worker compiles it at Open.
+func Strategies(ctx *Context, rel algebra.Rel) (out map[algebra.Rel]string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, recovered("compile", ctx.Fingerprint, r)
+		}
+	}()
+	ctx.EnableTrace()
+	if _, _, err := prepareRun(ctx, rel, nil); err != nil {
+		return nil, err
+	}
+	traces := []map[algebra.Rel]*OpStats{ctx.trace}
+	if pp := ctx.pplan; pp != nil {
+		root := pp.at
+		if pp.agg != nil {
+			root = pp.agg.Input
+		}
+		w := ctx.workerClone()
+		if _, err := compile(w, root); err != nil {
+			return nil, err
+		}
+		traces = append(traces, w.trace)
+	}
+	out = make(map[algebra.Rel]string)
+	for _, tr := range traces {
+		for n, st := range tr {
+			if st.Strategy != "" && out[n] == "" {
+				out[n] = st.Strategy
+			}
+		}
+	}
+	return out, nil
 }
 
 // prepareRun compiles the plan and resolves the output projection.

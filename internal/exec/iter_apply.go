@@ -70,10 +70,8 @@ func compileApply(ctx *Context, a *algebra.Apply) (*node, error) {
 	outCols := joinOutCols(a.Kind, left, right)
 	sig, ambient := algebra.ApplyBindingCols(a)
 	strat := chooseApplyStrategy(ctx, a, sig)
+	ctx.noteStrategy(a, strat.String())
 	st := ctx.traceStats(a)
-	if st != nil {
-		st.Strategy = strat.String()
-	}
 	if strat == applySequential {
 		var spool *spoolIter
 		if sig.Empty() {

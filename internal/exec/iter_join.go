@@ -22,7 +22,7 @@ func compileJoin(ctx *Context, j *algebra.Join) (*node, error) {
 	}
 	outCols := joinOutCols(j.Kind, left, right)
 
-	lKeys, rKeys, residual := SplitJoinKeys(j.On,
+	lKeys, rKeys, residual := algebra.SplitJoinKeys(j.On,
 		algebra.NewColSet(left.cols...), algebra.NewColSet(right.cols...))
 	if len(lKeys) > 0 {
 		if n, ok := maybeMergeJoin(ctx, j, left, right, lKeys, rKeys, residual); ok {
@@ -34,6 +34,7 @@ func compileJoin(ctx *Context, j *algebra.Join) (*node, error) {
 			lOrds[i] = left.ords[lKeys[i]]
 			rOrds[i] = right.ords[rKeys[i]]
 		}
+		ctx.noteStrategy(j, "hash")
 		it := &hashJoinIter{ctx: ctx, kind: j.Kind, left: left, right: right,
 			lOrds: lOrds, rOrds: rOrds, residual: algebra.ConjoinAll(residual...),
 			sizeHint: estimateRows(ctx, j.Right), st: ctx.traceStats(j)}
@@ -54,32 +55,6 @@ func joinOutCols(kind algebra.JoinKind, left, right *node) []algebra.ColID {
 		out = append(out, right.cols...)
 	}
 	return out
-}
-
-// SplitJoinKeys extracts hash-join equality keys (left-col = right-col
-// conjuncts) from a join predicate, returning the paired key columns
-// and the residual conjuncts. It is shared with the cost model.
-func SplitJoinKeys(on algebra.Scalar, leftCols, rightCols algebra.ColSet) (lk, rk []algebra.ColID, residual []algebra.Scalar) {
-	for _, c := range algebra.Conjuncts(on) {
-		if cmp, ok := c.(*algebra.Cmp); ok && cmp.Op == algebra.CmpEq {
-			l, lok := cmp.L.(*algebra.ColRef)
-			r, rok := cmp.R.(*algebra.ColRef)
-			if lok && rok {
-				switch {
-				case leftCols.Contains(l.Col) && rightCols.Contains(r.Col):
-					lk = append(lk, l.Col)
-					rk = append(rk, r.Col)
-					continue
-				case leftCols.Contains(r.Col) && rightCols.Contains(l.Col):
-					lk = append(lk, r.Col)
-					rk = append(rk, l.Col)
-					continue
-				}
-			}
-		}
-		residual = append(residual, c)
-	}
-	return lk, rk, residual
 }
 
 // hashJoinIter builds a hash table on the right input and probes with

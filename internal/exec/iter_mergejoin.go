@@ -14,57 +14,13 @@ import (
 // a covering order (ordered index scans, ordered Apply outputs), or
 // forced via Context.ForceJoin with explicit sorts as the safety net.
 
-// mergeKeySeq picks the key comparison sequence for a merge join whose
-// inputs deliver the orders dl and dr. Equality conjuncts carry no
-// inherent order, so the sequence is aligned with the left input's
-// delivered order when a permutation of the key pairs matches it
-// (making the left side sort-free); otherwise the declared conjunct
-// order is kept. lSorted/rSorted report whether
-// each input's delivered order covers the chosen sequence ascending —
-// sides not covered need an explicit sort.
-func mergeKeySeq(dl, dr []algebra.Ordering, lKeys, rKeys []algebra.ColID) (lSeq, rSeq []algebra.ColID, lSorted, rSorted bool) {
-	n := len(lKeys)
-	if len(dl) >= n {
-		used := make([]bool, n)
-		ls := make([]algebra.ColID, 0, n)
-		rs := make([]algebra.ColID, 0, n)
-		ok := true
-		for i := 0; i < n && ok; i++ {
-			if dl[i].Desc {
-				ok = false
-				break
-			}
-			found := -1
-			for k := 0; k < n; k++ {
-				if !used[k] && lKeys[k] == dl[i].Col {
-					found = k
-					break
-				}
-			}
-			if found < 0 {
-				ok = false
-				break
-			}
-			used[found] = true
-			ls = append(ls, lKeys[found])
-			rs = append(rs, rKeys[found])
-		}
-		if ok {
-			return ls, rs, true, algebra.OrderCovers(dr, ascOrder(rs))
-		}
-	}
-	return lKeys, rKeys,
-		algebra.OrderCovers(dl, ascOrder(lKeys)),
-		algebra.OrderCovers(dr, ascOrder(rKeys))
-}
-
 // maybeMergeJoin decides whether j executes as a merge join and builds
 // the iterator if so. Auto selection requires both inputs pre-sorted;
 // ForceJoin "merge" accepts any equi-join and sorts whichever inputs
 // need it; ForceJoin "hash" refuses.
 func maybeMergeJoin(ctx *Context, j *algebra.Join, left, right *node,
 	lKeys, rKeys []algebra.ColID, residual []algebra.Scalar) (*node, bool) {
-	lSeq, rSeq, lSorted, rSorted := mergeKeySeq(
+	lSeq, rSeq, lSorted, rSorted := algebra.MergeKeySeq(
 		algebra.DeliveredOrder(j.Left), algebra.DeliveredOrder(j.Right), lKeys, rKeys)
 	switch ctx.ForceJoin {
 	case "merge":
@@ -81,6 +37,7 @@ func maybeMergeJoin(ctx *Context, j *algebra.Join, left, right *node,
 			return nil, false
 		}
 	}
+	ctx.noteStrategy(j, "merge")
 	lOrds := make([]int, len(lSeq))
 	rOrds := make([]int, len(rSeq))
 	for i := range lSeq {

@@ -14,50 +14,12 @@ import (
 // scan walks the index permutation, the aggregation holds one group of
 // state at a time.
 
-// StreamAggApplicable reports whether gb's input delivers an order
-// that makes every group contiguous, i.e. whether the aggregation can
-// stream over sorted input without a hash table. Pure on the logical
-// tree — shared by the compiler, the cost model, and EXPLAIN.
-func StreamAggApplicable(gb *algebra.GroupBy) bool {
-	return algebra.GroupedBy(algebra.DeliveredOrder(gb.Input), gb.GroupCols)
-}
-
-// MergeJoinApplicable reports whether j would stream as a merge join
-// under auto selection: equality keys exist and both inputs already
-// deliver a covering ascending order. Pure on the logical tree —
-// shared by the compiler, the cost model, and EXPLAIN.
-func MergeJoinApplicable(j *algebra.Join) bool {
-	lKeys, rKeys, _ := SplitJoinKeys(j.On,
-		algebra.OutputCols(j.Left), algebra.OutputCols(j.Right))
-	return MergeKeysSorted(algebra.DeliveredOrder(j.Left), algebra.DeliveredOrder(j.Right), lKeys, rKeys)
-}
-
-// MergeKeysSorted is MergeJoinApplicable on precomputed parts: the
-// join's equality keys and the orders its inputs deliver (which the
-// optimizer caches per plan node).
-func MergeKeysSorted(dl, dr []algebra.Ordering, lKeys, rKeys []algebra.ColID) bool {
-	if len(lKeys) == 0 {
-		return false
-	}
-	_, _, lSorted, rSorted := mergeKeySeq(dl, dr, lKeys, rKeys)
-	return lSorted && rSorted
-}
-
-// ascOrder renders a key column sequence as an ascending ordering.
-func ascOrder(cols []algebra.ColID) []algebra.Ordering {
-	by := make([]algebra.Ordering, len(cols))
-	for i, c := range cols {
-		by[i] = algebra.Ordering{Col: c}
-	}
-	return by
-}
-
 // sortWrapNode wraps a compiled input in an explicit ascending sort on
 // cols — the fallback that keeps forced merge joins and forced
 // streaming aggregations correct over unordered inputs. The sort's
 // memory is attributed to the enclosing operator's stats slot.
 func sortWrapNode(ctx *Context, in *node, cols []algebra.ColID, at algebra.Rel) *node {
-	return newNode(&sortIter{ctx: ctx, in: in, by: ascOrder(cols), st: ctx.traceStats(at)}, in.cols)
+	return newNode(&sortIter{ctx: ctx, in: in, by: algebra.AscOrder(cols), st: ctx.traceStats(at)}, in.cols)
 }
 
 // compileOrderedGet lowers a Get carrying an Order requirement: an
@@ -69,11 +31,13 @@ func sortWrapNode(ctx *Context, in *node, cols []algebra.ColID, at algebra.Rel) 
 func compileOrderedGet(ctx *Context, g *algebra.Get, tbl *storage.Version, filter algebra.Scalar) (*node, error) {
 	if !ctx.DisableOrderOpt {
 		if perm, reverse, ok := orderedPerm(tbl, g); ok {
+			ctx.noteStrategy(g, "index order")
 			it := &orderedScanIter{ctx: ctx, tbl: tbl, perm: perm, reverse: reverse,
 				cols: g.Cols, pred: filter}
 			return newNode(it, g.Cols), nil
 		}
 	}
+	ctx.noteStrategy(g, "sorted")
 	base := newNode(&scanIter{ctx: ctx, tbl: tbl, cols: g.Cols, pred: filter}, g.Cols)
 	return newNode(&sortIter{ctx: ctx, in: base, by: g.Order, st: ctx.traceStats(g)}, g.Cols), nil
 }

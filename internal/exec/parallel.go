@@ -218,6 +218,8 @@ func compileExchange(ctx *Context, rel algebra.Rel) (*node, error) {
 		ctx.trace[rel] = st
 	}
 	if pp.agg != nil {
+		// Workers build partial hash tables that the coordinator merges.
+		ctx.noteStrategy(rel, "hash")
 		cols := append([]algebra.ColID(nil), pp.agg.GroupCols.Ordered()...)
 		for _, a := range pp.agg.Aggs {
 			cols = append(cols, a.Col)

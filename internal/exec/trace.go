@@ -37,8 +37,11 @@ type OpStats struct {
 	// Spills counts spill episodes this operator took (a hash
 	// aggregation or join build crossing the memory budget).
 	Spills int64
-	// Strategy is the Apply execution strategy chosen at compile time
-	// ("sequential", "batched", "parallel"); empty for other operators.
+	// Strategy is the physical algorithm the compiler chose for this
+	// operator: "sequential", "batched" or "parallel" for an Apply;
+	// "merge" or "hash" for an equi-join; "stream" or "hash" for an
+	// aggregation; "index order" or "sorted" for a Get with an Order.
+	// Empty for operators without such a choice.
 	Strategy string
 	// Bindings counts correlation-binding lookups (one per outer row of
 	// an Apply); InnerExecs counts actual inner-side executions. Their
@@ -82,6 +85,14 @@ func (c *Context) traceStats(rel algebra.Rel) *OpStats {
 		c.trace[rel] = st
 	}
 	return st
+}
+
+// noteStrategy records the physical algorithm compiled for rel
+// (tracing only; see OpStats.Strategy).
+func (c *Context) noteStrategy(rel algebra.Rel, strategy string) {
+	if st := c.traceStats(rel); st != nil {
+		st.Strategy = strategy
+	}
 }
 
 // EnableTrace turns on per-operator statistics collection for plans
@@ -251,6 +262,9 @@ func (c *Context) buildSpan(rel algebra.Rel) *obs.Span {
 		// every forwarded row) and takes the worker-side inclusive time
 		// as WorkerTime, plus worker-side memory/spill attribution.
 		sp.WorkerTime = wst.Busy
+		if sp.Strategy == "" {
+			sp.Strategy = wst.Strategy
+		}
 		sp.MemBytes += atomic.LoadInt64(&wst.MemBytes)
 		sp.Spills += atomic.LoadInt64(&wst.Spills)
 	}
@@ -305,9 +319,12 @@ func (c *Context) FormatTrace(rel algebra.Rel) string {
 			if sp.MemBytes > 0 || sp.Spills > 0 {
 				fmt.Fprintf(&b, " (mem=%d spills=%d)", sp.MemBytes, sp.Spills)
 			}
-			if sp.Strategy != "" {
+			switch {
+			case sp.Op == "Apply":
 				fmt.Fprintf(&b, " (strategy=%s bindings=%d inner-execs=%d)",
 					sp.Strategy, sp.Bindings, sp.InnerExecs)
+			case sp.Strategy != "":
+				fmt.Fprintf(&b, " (strategy=%s)", sp.Strategy)
 			}
 		}
 		b.WriteByte('\n')

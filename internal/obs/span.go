@@ -50,8 +50,9 @@ type Span struct {
 	// WorkerTime is the cumulative worker-side wall time at a parallel
 	// boundary (sums across workers; exceeds Busy when workers overlap).
 	WorkerTime time.Duration `json:"worker_ns,omitempty"`
-	// Strategy is the Apply execution strategy chosen at compile time
-	// ("sequential", "batched", "parallel"); empty for other operators.
+	// Strategy is the physical algorithm chosen at compile time for an
+	// Apply, equi-join, aggregation or ordered Get (see
+	// exec.OpStats.Strategy); empty for other operators.
 	Strategy string `json:"strategy,omitempty"`
 	// Bindings counts an Apply's correlation-binding lookups (one per
 	// outer row); InnerExecs counts actual inner-side executions. Their

@@ -5,52 +5,17 @@ import (
 	"strings"
 
 	"orthoq/internal/algebra"
-	"orthoq/internal/exec"
 	"orthoq/internal/sql/catalog"
 	"orthoq/internal/stats"
 )
 
-// ExecHints carries the execution knobs EXPLAIN needs to predict
-// runtime strategy choices (the optimizer itself never reads them).
-type ExecHints struct {
-	// ApplyStrategy is the Config override for the Apply strategy
-	// selector ("" = auto).
-	ApplyStrategy string
-	// Parallelism is the configured worker count.
-	Parallelism int
-	// DisableBatch pins execution to the row-at-a-time path.
-	DisableBatch bool
-	// JoinStrategy is the Config override for the equi-join algorithm
-	// ("" / "auto", "hash", "merge").
-	JoinStrategy string
-	// AggStrategy is the Config override for the grouping algorithm
-	// ("" / "auto", "hash", "stream").
-	AggStrategy string
-	// DisableSortElim disables order-property execution choices.
-	DisableSortElim bool
-}
-
 // FormatWithEstimates renders a plan with per-node cardinality and
-// cost estimates, for EXPLAIN output and cost-model debugging. An
-// optional ExecHints adds runtime strategy predictions (apply=...) to
-// the nodes whose execution strategy depends on configuration.
-func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collection, r algebra.Rel, hints ...ExecHints) string {
+// cost estimates, for EXPLAIN output and cost-model debugging.
+// strategies, when non-nil, holds the physical algorithm the executor
+// compiled for each node (exec.Strategies); it is printed on that
+// node's line. A nil map prints estimates only.
+func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.Collection, r algebra.Rel, strategies map[algebra.Rel]string) string {
 	c := &coster{md: md, cat: cat, st: st}
-	ectx := &exec.Context{}
-	if len(hints) > 0 {
-		ectx.ApplyStrategy = hints[0].ApplyStrategy
-		ectx.Parallelism = hints[0].Parallelism
-		ectx.DisableBatch = hints[0].DisableBatch
-		switch hints[0].JoinStrategy {
-		case "hash", "merge":
-			ectx.ForceJoin = hints[0].JoinStrategy
-		}
-		switch hints[0].AggStrategy {
-		case "hash", "stream":
-			ectx.ForceAgg = hints[0].AggStrategy
-		}
-		ectx.DisableOrderOpt = hints[0].DisableSortElim
-	}
 	var b strings.Builder
 	var walk func(algebra.Rel, int)
 	walk = func(n algebra.Rel, depth int) {
@@ -62,32 +27,7 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.C
 		for i := 0; i < depth; i++ {
 			b.WriteString("  ")
 		}
-		extra := ""
-		switch t := n.(type) {
-		case *algebra.Apply:
-			extra = fmt.Sprintf(" apply=%s", exec.PredictApplyStrategy(ectx, t, c.cost(t.Left).rows))
-		case *algebra.Join:
-			// Annotate only order-exploiting picks; hash stays implicit.
-			// Forcing covers any equi-join (unsorted sides get explicit
-			// sorts); auto needs both sides pre-sorted.
-			if lk, _, _ := exec.SplitJoinKeys(t.On,
-				algebra.OutputCols(t.Left), algebra.OutputCols(t.Right)); len(lk) > 0 {
-				if ectx.ForceJoin == "merge" ||
-					(ectx.ForceJoin == "" && !ectx.DisableOrderOpt && exec.MergeJoinApplicable(t)) {
-					extra = " join=merge"
-				}
-			}
-		case *algebra.GroupBy:
-			if ectx.ForceAgg == "stream" ||
-				(ectx.ForceAgg == "" && !ectx.DisableOrderOpt && exec.StreamAggApplicable(t)) {
-				extra = " agg=stream"
-			}
-		case *algebra.Get:
-			if len(t.Order) > 0 && !ectx.DisableOrderOpt {
-				extra = " sort elided"
-			}
-		}
-		fmt.Fprintf(&b, "%s  [rows≈%.0f cost≈%.0f%s]\n", line, est.rows, est.cost, extra)
+		fmt.Fprintf(&b, "%s  [rows≈%.0f cost≈%.0f%s]\n", line, est.rows, est.cost, strategyNote(n, strategies[n]))
 		// Costing an Apply/SegmentApply inner requires scope bindings;
 		// replicate the scopes while walking.
 		switch t := n.(type) {
@@ -119,4 +59,27 @@ func FormatWithEstimates(md *algebra.Metadata, cat *catalog.Catalog, st *stats.C
 	}
 	walk(r, 0)
 	return b.String()
+}
+
+// strategyNote renders an executor strategy as its EXPLAIN annotation.
+// An ordered Get reads "sort elided" when an index delivers the order
+// and "scan+sort" when the executor sorts a full scan instead.
+func strategyNote(n algebra.Rel, s string) string {
+	if s == "" {
+		return ""
+	}
+	switch n.(type) {
+	case *algebra.Apply:
+		return " apply=" + s
+	case *algebra.Join:
+		return " join=" + s
+	case *algebra.GroupBy:
+		return " agg=" + s
+	case *algebra.Get:
+		if s == "index order" {
+			return " sort elided"
+		}
+		return " scan+sort"
+	}
+	return ""
 }

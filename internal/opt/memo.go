@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"orthoq/internal/algebra"
-	"orthoq/internal/exec"
 )
 
 // memo is the search state of one Optimize call. It interns plan
@@ -227,28 +226,29 @@ func (m *memo) applySig(n *node) algebra.ColSet {
 }
 
 // joinKeys returns a Join's paired equality key columns
-// (exec.SplitJoinKeys over the inputs' cached output columns).
+// (algebra.SplitJoinKeys over the inputs' cached output columns).
 func (m *memo) joinKeys(n *node) (lk, rk []algebra.ColID) {
 	if n.have&haveKeys == 0 {
 		j := n.rel.(*algebra.Join)
 		x := n.x()
-		x.lk, x.rk, _ = exec.SplitJoinKeys(j.On, m.outputCols(n.kids[0]), m.outputCols(n.kids[1]))
+		x.lk, x.rk, _ = algebra.SplitJoinKeys(j.On, m.outputCols(n.kids[0]), m.outputCols(n.kids[1]))
 		n.have |= haveKeys
 	}
 	return n.ext.lk, n.ext.rk
 }
 
-// mergeJoin reports exec.MergeJoinApplicable for a Join node.
+// mergeJoin reports whether a Join node's inputs already deliver a
+// covering key order (algebra.MergeKeysSorted).
 func (m *memo) mergeJoin(n *node) bool {
 	if n.have&haveMerge == 0 {
 		lk, rk := m.joinKeys(n)
-		n.ext.merge = exec.MergeKeysSorted(m.delivered(n.kids[0]), m.delivered(n.kids[1]), lk, rk)
+		n.ext.merge = algebra.MergeKeysSorted(m.delivered(n.kids[0]), m.delivered(n.kids[1]), lk, rk)
 		n.have |= haveMerge
 	}
 	return n.ext.merge
 }
 
-// streamAgg reports exec.StreamAggApplicable for a GroupBy node: its
+// streamAgg reports algebra.StreamAggApplicable for a GroupBy node: its
 // input's delivered order keeps every group contiguous.
 func (m *memo) streamAgg(n *node) bool {
 	if n.have&haveStream == 0 {

@@ -304,7 +304,7 @@ func TestEstimateFormatter(t *testing.T) {
 	md, rel, _ := prep(t, st, tpch.Queries["Q17"])
 	o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{MaxSteps: 300}}
 	r := o.Optimize(rel)
-	out := FormatWithEstimates(md, st.Catalog, sc, r.Plan)
+	out := FormatWithEstimates(md, st.Catalog, sc, r.Plan, nil)
 	if !strings.Contains(out, "rows≈") || !strings.Contains(out, "cost≈") {
 		t.Errorf("estimates missing:\n%s", out)
 	}

@@ -40,7 +40,7 @@ func tryMergeJoinOrder(m *memo, cat *catalog.Catalog, n *node) (algebra.Rel, boo
 	if len(lKeys) == 0 || m.mergeJoin(n) {
 		return nil, false
 	}
-	lBy, rBy := ascOrderings(lKeys), ascOrderings(rKeys)
+	lBy, rBy := algebra.AscOrder(lKeys), algebra.AscOrder(rKeys)
 	newL, newR := j.Left, j.Right
 	if !algebra.OrderCovers(m.delivered(n.kids[0]), lBy) {
 		nl, ok := pushOrder(m, cat, newL, lBy)
@@ -87,14 +87,6 @@ func tryStreamAggOrder(m *memo, cat *catalog.Catalog, n *node) (algebra.Rel, boo
 	ngb := *gb
 	ngb.Input = in
 	return &ngb, true
-}
-
-func ascOrderings(cols []algebra.ColID) []algebra.Ordering {
-	by := make([]algebra.Ordering, len(cols))
-	for i, c := range cols {
-		by[i] = algebra.Ordering{Col: c}
-	}
-	return by
 }
 
 // pushOrder rebuilds r with the order requirement installed on the

@@ -13,6 +13,7 @@ package orthoq
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -225,6 +226,108 @@ func TestMergeJoinAndStreamAggAnnotations(t *testing.T) {
 	if !strings.Contains(out, "agg=stream") {
 		t.Errorf("forced stream agg missing from EXPLAIN:\n%s", out)
 	}
+}
+
+// TestExplainMatchesExecution: every physical annotation plain EXPLAIN
+// prints is the strategy the executor compiled for that node, as the
+// span tree of EXPLAIN ANALYZE reports it, and no compiled strategy
+// goes unprinted. Covers the TPC-H corpus under DefaultConfig, each
+// forced order variant, and each forced Apply strategy at
+// Parallelism 4.
+func TestExplainMatchesExecution(t *testing.T) {
+	db := sharedDB(t)
+	type variant struct {
+		name string
+		mut  func(*Config)
+	}
+	variants := []variant{{"default", func(*Config) {}}}
+	for _, v := range orderVariants {
+		variants = append(variants, variant{v.name, v.mut})
+	}
+	for _, s := range []string{"sequential", "batched", "parallel"} {
+		variants = append(variants, variant{"apply=" + s + "+par4", func(c *Config) {
+			c.ApplyStrategy = s
+			c.Parallelism = 4
+		}})
+	}
+	for _, name := range TPCHQueryNames() {
+		sql, _ := TPCHQuery(name)
+		for _, v := range variants {
+			cfg := DefaultConfig()
+			v.mut(&cfg)
+			out, err := db.Explain(sql, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: explain: %v", name, v.name, err)
+			}
+			r, err := db.QueryAnalyze(sql, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: analyze: %v", name, v.name, err)
+			}
+			var spans []*Span
+			r.Spans().Walk(func(sp *Span) { spans = append(spans, sp) })
+			notes := explainNotes(out)
+			if len(notes) != len(spans) {
+				t.Errorf("%s/%s: EXPLAIN shows %d nodes, the executed plan has %d:\n%s",
+					name, v.name, len(notes), len(spans), out)
+				continue
+			}
+			for i, sp := range spans {
+				if want := spanNote(sp); notes[i] != want {
+					t.Errorf("%s/%s: node %d (%s): EXPLAIN says %q, execution ran %q:\n%s",
+						name, v.name, i, sp.Op, notes[i], want, out)
+				}
+			}
+		}
+	}
+}
+
+// explainNote matches a cost-based plan line's estimate bracket and
+// captures the strategy annotation that follows the cost.
+var explainNote = regexp.MustCompile(`\[rows≈\S+ cost≈[^ \]]*(.*)\]$`)
+
+// explainNotes returns the strategy annotation of each cost-based plan
+// line of EXPLAIN output, in plan preorder ("" where none is printed).
+func explainNotes(out string) []string {
+	var notes []string
+	in := false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "=== cost-based plan"):
+			in = true
+		case in && line == "":
+			return notes
+		case in:
+			m := explainNote.FindStringSubmatch(line)
+			if m == nil {
+				notes = append(notes, "unparsed: "+line)
+				continue
+			}
+			notes = append(notes, strings.TrimSpace(m[1]))
+		}
+	}
+	return notes
+}
+
+// spanNote renders an executed operator's compiled strategy the way
+// EXPLAIN annotates it.
+func spanNote(sp *Span) string {
+	if sp.Strategy == "" {
+		return ""
+	}
+	switch sp.Op {
+	case "Apply":
+		return "apply=" + sp.Strategy
+	case "Join":
+		return "join=" + sp.Strategy
+	case "GroupBy":
+		return "agg=" + sp.Strategy
+	case "Get":
+		if sp.Strategy == "index order" {
+			return "sort elided"
+		}
+		return "scan+sort"
+	}
+	return sp.Op + " strategy=" + sp.Strategy
 }
 
 // TestOrderStrategyValidation: misspelled strategy knobs error rather

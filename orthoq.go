@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -284,7 +285,7 @@ func (c Config) planKey() string {
 		c.GroupByReorder, c.LocalAgg, c.SegmentApply, c.JoinReorder,
 		c.CorrelatedReintro, c.DisableBatch, c.DisableSortElim,
 		c.MaxSteps, c.Parallelism,
-		c.normApplyStrategy(), c.normJoinStrategy(), c.normAggStrategy())
+		keyKnob(c.ApplyStrategy), keyKnob(c.JoinStrategy), keyKnob(c.AggStrategy))
 	if len(c.DisableRules) > 0 {
 		// Sorted so the key is order-insensitive; Trace/QueryLog are
 		// deliberately absent — observability is run state.
@@ -295,67 +296,28 @@ func (c Config) planKey() string {
 	return key
 }
 
-// applyStrategy validates the ApplyStrategy knob and normalizes
-// "auto" to the empty default.
-func (c Config) applyStrategy() (string, error) {
-	switch c.ApplyStrategy {
-	case "", "auto":
+// strategyKnob validates a strategy override against its allowed
+// values and normalizes "auto" to the empty default.
+func strategyKnob(name, v string, allowed ...string) (string, error) {
+	if v == "" || v == "auto" {
 		return "", nil
-	case "sequential", "batched", "parallel":
-		return c.ApplyStrategy, nil
 	}
-	return "", fmt.Errorf("orthoq: unknown ApplyStrategy %q (want auto, sequential, batched, or parallel)", c.ApplyStrategy)
+	if slices.Contains(allowed, v) {
+		return v, nil
+	}
+	last := len(allowed) - 1
+	return "", fmt.Errorf("orthoq: unknown %s %q (want auto, %s, or %s)",
+		name, v, strings.Join(allowed[:last], ", "), allowed[last])
 }
 
-// normApplyStrategy is applyStrategy for cache-key purposes: invalid
-// values keep their spelling (they never reach the cache — prepare
-// rejects them first).
-func (c Config) normApplyStrategy() string {
-	s, err := c.applyStrategy()
-	if err != nil {
-		return c.ApplyStrategy
+// keyKnob spells a strategy override for the plan-cache key: "auto"
+// keys as the default, and invalid values keep their spelling (they
+// never reach the cache — prepare rejects them first).
+func keyKnob(v string) string {
+	if v == "auto" {
+		return ""
 	}
-	return s
-}
-
-// joinStrategy validates the JoinStrategy knob and normalizes "auto"
-// to the empty default.
-func (c Config) joinStrategy() (string, error) {
-	switch c.JoinStrategy {
-	case "", "auto":
-		return "", nil
-	case "hash", "merge":
-		return c.JoinStrategy, nil
-	}
-	return "", fmt.Errorf("orthoq: unknown JoinStrategy %q (want auto, hash, or merge)", c.JoinStrategy)
-}
-
-func (c Config) normJoinStrategy() string {
-	s, err := c.joinStrategy()
-	if err != nil {
-		return c.JoinStrategy
-	}
-	return s
-}
-
-// aggStrategy validates the AggStrategy knob and normalizes "auto" to
-// the empty default.
-func (c Config) aggStrategy() (string, error) {
-	switch c.AggStrategy {
-	case "", "auto":
-		return "", nil
-	case "hash", "stream":
-		return c.AggStrategy, nil
-	}
-	return "", fmt.Errorf("orthoq: unknown AggStrategy %q (want auto, hash, or stream)", c.AggStrategy)
-}
-
-func (c Config) normAggStrategy() string {
-	s, err := c.aggStrategy()
-	if err != nil {
-		return c.AggStrategy
-	}
-	return s
+	return v
 }
 
 // RuleNames lists the canonical names of every individually disableable
@@ -1051,15 +1013,15 @@ func (db *DB) prepare(sql string, cfg Config) (*prepared, error) {
 // algebrize, normalize, and cost-based optimization. params supplies
 // sniffed values for ast.Param slots.
 func (db *DB) prepareAST(q ast.Query, cfg Config, params []types.Datum) (*prepared, error) {
-	strat, err := cfg.applyStrategy()
+	strat, err := strategyKnob("ApplyStrategy", cfg.ApplyStrategy, "sequential", "batched", "parallel")
 	if err != nil {
 		return nil, err
 	}
-	jstrat, err := cfg.joinStrategy()
+	jstrat, err := strategyKnob("JoinStrategy", cfg.JoinStrategy, "hash", "merge")
 	if err != nil {
 		return nil, err
 	}
-	astrat, err := cfg.aggStrategy()
+	astrat, err := strategyKnob("AggStrategy", cfg.AggStrategy, "hash", "stream")
 	if err != nil {
 		return nil, err
 	}
@@ -1505,23 +1467,26 @@ func (db *DB) Explain(sql string, cfg Config) (string, error) {
 	b.WriteString("\n=== normalized (correlations removed, outerjoins simplified) ===\n")
 	b.WriteString(algebra.FormatRel(md, norm))
 
-	finalPlan := norm
-	if cfg.CostBased {
-		sc := db.statsNow()
-		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: sc, Config: cfg.optConfig()}
-		r := o.Optimize(norm, correlatedSeed(md, res.Rel, cfg)...)
-		finalPlan = r.Plan
-		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f, %d plans explored) ===\n", r.Cost, r.Explored)
-		b.WriteString(opt.FormatWithEstimates(md, db.store.Catalog, sc, r.Plan, opt.ExecHints{
-			ApplyStrategy:   cfg.normApplyStrategy(),
-			Parallelism:     cfg.Parallelism,
-			DisableBatch:    cfg.DisableBatch,
-			JoinStrategy:    cfg.normJoinStrategy(),
-			AggStrategy:     cfg.normAggStrategy(),
-			DisableSortElim: cfg.DisableSortElim,
-		}))
+	// The final plan comes from the run path's prepare, and its physical
+	// annotations from compiling it under the run path's exec context,
+	// so EXPLAIN shows what a run would execute.
+	p, err := db.prepareAST(q, cfg, nil)
+	if err != nil {
+		return "", err
 	}
-	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(md, finalPlan, cfg))
+	if cfg.CostBased {
+		ctx, cancel := p.execContext(db, nil, cfg.execOpts(nil))
+		if cancel != nil {
+			defer cancel()
+		}
+		strategies, err := exec.Strategies(ctx, p.plan)
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f, %d plans explored) ===\n", p.cost, p.steps)
+		b.WriteString(opt.FormatWithEstimates(p.md, db.store.Catalog, ctx.Stats, p.plan, strategies))
+	}
+	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(p.md, p.plan, cfg))
 	return b.String(), nil
 }
 

@@ -20,6 +20,14 @@ fi
 go vet ./...
 go build ./...
 
+# Layering leg: packages depend only downward. The executor owns every
+# physical choice and EXPLAIN prints what it compiled (exec.Strategies),
+# so the optimizer and the logical layers never import internal/exec.
+if go list -deps ./internal/opt ./internal/core ./internal/algebra | grep -qx 'orthoq/internal/exec'; then
+    echo "internal/opt, internal/core or internal/algebra depends on internal/exec" >&2
+    exit 1
+fi
+
 # Fast smoke leg: batch-vs-row equivalence is the highest-signal
 # regression check for executor changes — fail it early and clearly
 # before the full suite runs.
