@@ -261,17 +261,27 @@ func ConjoinAll(preds ...Scalar) Scalar {
 
 // Conjuncts splits a predicate into its top-level conjuncts.
 func Conjuncts(s Scalar) []Scalar {
-	if s == nil || IsTrueConst(s) {
+	var out []Scalar
+	if a, ok := s.(*And); ok {
+		out = make([]Scalar, 0, len(a.Args))
+	}
+	if out = appendConjuncts(out, s); len(out) == 0 {
 		return nil
 	}
+	return out
+}
+
+func appendConjuncts(out []Scalar, s Scalar) []Scalar {
+	if s == nil || IsTrueConst(s) {
+		return out
+	}
 	if a, ok := s.(*And); ok {
-		var out []Scalar
 		for _, x := range a.Args {
-			out = append(out, Conjuncts(x)...)
+			out = appendConjuncts(out, x)
 		}
 		return out
 	}
-	return []Scalar{s}
+	return append(out, s)
 }
 
 // VisitScalar walks s depth-first, calling f on every scalar node. It

@@ -62,6 +62,17 @@ type coster struct {
 	// ctx is the memo's ID for the current (bound, innermost segRows)
 	// context; 0 is the root context.
 	ctx int32
+	// cols caches colStats by ColID: a column's table and ordinal never
+	// change, and the statistics are fixed for the coster's lifetime.
+	cols []colStatsEntry
+}
+
+// colStatsEntry is one cached colStats answer; cs is nil when the
+// column has no base-table statistics.
+type colStatsEntry struct {
+	cs    *stats.ColumnStats
+	rows  int64
+	known bool
 }
 
 func (c *coster) memo() *memo {
@@ -106,15 +117,20 @@ func (c *coster) segTop() float64 {
 // colStats fetches base-table column statistics for a column ID, if it
 // traces to a stored column.
 func (c *coster) colStats(id algebra.ColID) (*stats.ColumnStats, int64, bool) {
-	meta := c.md.Column(id)
-	if meta.Table == "" || c.st == nil {
-		return nil, 0, false
+	if int(id) >= len(c.cols) {
+		c.cols = append(c.cols, make([]colStatsEntry, int(id)+1-len(c.cols))...)
 	}
-	ts := c.st.Table(meta.Table)
-	if ts == nil || meta.Ord >= len(ts.Columns) {
-		return nil, 0, false
+	e := &c.cols[id]
+	if !e.known {
+		e.known = true
+		meta := c.md.Column(id)
+		if meta.Table != "" && c.st != nil {
+			if ts := c.st.Table(meta.Table); ts != nil && meta.Ord < len(ts.Columns) {
+				e.cs, e.rows = &ts.Columns[meta.Ord], ts.RowCount
+			}
+		}
 	}
-	return &ts.Columns[meta.Ord], ts.RowCount, true
+	return e.cs, e.rows, e.cs != nil
 }
 
 func (c *coster) distinct(id algebra.ColID, defRows float64) float64 {
@@ -357,11 +373,11 @@ func (c *coster) costApply(n *node) estimate {
 		// column; trust only real statistics (the rows/10 fallback would
 		// claim a dedup win on every correlated plan).
 		d := 0.0
-		for _, col := range sig.Ordered() {
+		sig.ForEach(func(col algebra.ColID) {
 			if cs, _, ok := c.colStats(col); ok && cs.Distinct > 0 {
 				d = math.Max(d, float64(cs.Distinct))
 			}
-		}
+		})
 		if d > 0 {
 			execs = math.Min(l.rows, d)
 		}
@@ -389,9 +405,9 @@ func (c *coster) costSegmentApply(n *node) estimate {
 	sa := n.rel.(*algebra.SegmentApply)
 	in := c.costNode(n.kids[0])
 	segments := 1.0
-	for _, col := range sa.SegmentCols.Ordered() {
+	sa.SegmentCols.ForEach(func(col algebra.ColID) {
 		segments = math.Max(segments, c.distinct(col, in.rows))
-	}
+	})
 	segments = math.Min(segments, math.Max(in.rows, 1))
 	restore := c.segmentScope(in.rows / segments)
 	inner := c.costNode(n.kids[1])
@@ -407,9 +423,9 @@ func (c *coster) groupCount(gb *algebra.GroupBy, inRows float64) float64 {
 		return 1
 	}
 	groups := 1.0
-	for _, col := range gb.GroupCols.Ordered() {
+	gb.GroupCols.ForEach(func(col algebra.ColID) {
 		groups = math.Max(groups, c.distinct(col, inRows))
-	}
+	})
 	return math.Min(groups, math.Max(inRows, 1))
 }
 

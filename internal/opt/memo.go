@@ -23,7 +23,10 @@ import (
 //   - its logical properties (output columns, outer references,
 //     delivered order, join keys, the merge-join / streaming-agg
 //     answers), each derived once from its inputs' cached ones;
-//   - its cost estimate per coster context (see coster.ctx).
+//   - its cost estimate per coster context (see coster.ctx);
+//   - its neighbor set: every single-rule rewrite of its subtree (see
+//     Optimizer.neighbors), computed the first time the search pops a
+//     plan containing it.
 //
 // Cached sets and orderings are shared and read-only: a caller that
 // needs to modify one must Copy it first.
@@ -31,12 +34,19 @@ type memo struct {
 	md    *algebra.Metadata
 	f     *algebra.Formatter
 	nodes map[algebra.Rel]*node
-	// classes maps (line, input class IDs) to a class ID (from 1).
+	// lines interns rendered FormatRel lines (IDs from 1); lineNL[id]
+	// records that line id contains a newline.
+	lines  map[string]int32
+	lineNL []bool
+	// classes maps (line ID, input class IDs) to a class ID (from 1).
 	classes map[classKey]int32
 	// ctxs maps a coster context key to its ID (the root context,
 	// nothing bound and no segment, is 0).
 	ctxs   map[string]int32
 	keyBuf []byte
+	// relBuf is rebuilt's WithInputs argument (WithInputs copies the
+	// inputs it needs, so the buffer is reused).
+	relBuf [2]algebra.Rel
 
 	// Bound method values, created once (a method value allocates).
 	outFn   func(algebra.Rel) algebra.ColSet
@@ -45,9 +55,9 @@ type memo struct {
 }
 
 // classKey identifies a FormatRel equivalence class: a node's own line
-// and the class IDs of its (at most two) inputs, 0 where absent.
+// ID and the class IDs of its (at most two) inputs, 0 where absent.
 type classKey struct {
-	line string
+	line int32
 	kids [2]int32
 }
 
@@ -57,23 +67,43 @@ type node struct {
 	kids []*node
 	// id is the class ID, 0 until computed.
 	id int32
-	// line is the node's own FormatRel line, "" until rendered.
-	line string
+	// line is the ID of the node's own FormatRel line, 0 until
+	// rendered.
+	line int32
+	// estCtx is the context of est (when hasEst).
+	estCtx int32
+	have   propBits
+	hasEst bool
 	// newline records that this line or a descendant's contains a
 	// newline, which makes line-wise interning inexact (see seenSet).
 	newline bool
 
-	have propBits
-	out  algebra.ColSet
+	out algebra.ColSet
 	// est is the estimate in context estCtx (when hasEst); estimates
 	// in further contexts (Apply inners reached from several scopes)
 	// go to ext.ests.
-	est    estimate
-	estCtx int32
-	hasEst bool
+	est estimate
+	// nbrs is the neighbor set (when haveNbrs), shared by every plan
+	// containing this node.
+	nbrs []candidate
 	// ext holds the properties only some nodes need, allocated on
 	// first use to keep the common node small.
 	ext *nodeExt
+}
+
+// nodeAlloc allocates a node together with room for its (at most two)
+// input links, so interning a node costs one allocation.
+type nodeAlloc struct {
+	n    node
+	kids [2]*node
+}
+
+func newNode(r algebra.Rel, nkids int) *node {
+	a := &nodeAlloc{n: node{rel: r}}
+	if nkids > 0 {
+		a.n.kids = a.kids[:nkids:nkids]
+	}
+	return &a.n
 }
 
 type nodeExt struct {
@@ -103,6 +133,7 @@ const (
 	haveKeys
 	haveMerge
 	haveStream
+	haveNbrs
 )
 
 // ctxEstimate is a node's estimate in one coster context.
@@ -116,6 +147,8 @@ func newMemo(md *algebra.Metadata) *memo {
 		md:      md,
 		f:       algebra.NewFormatter(md),
 		nodes:   make(map[algebra.Rel]*node),
+		lines:   make(map[string]int32),
+		lineNL:  []bool{false},
 		classes: make(map[classKey]int32),
 		ctxs:    make(map[string]int32),
 	}
@@ -132,12 +165,10 @@ func (m *memo) node(r algebra.Rel) *node {
 	if n, ok := m.nodes[r]; ok {
 		return n
 	}
-	n := &node{rel: r}
-	if ins := r.Inputs(); len(ins) > 0 {
-		n.kids = make([]*node, len(ins))
-		for i, c := range ins {
-			n.kids[i] = m.node(c)
-		}
+	ins := r.Inputs()
+	n := newNode(r, len(ins))
+	for i, c := range ins {
+		n.kids[i] = m.node(c)
 	}
 	m.nodes[r] = n
 	return n
@@ -148,14 +179,14 @@ func (m *memo) node(r algebra.Rel) *node {
 // from's — except an Apply's, whose binding list depends on its
 // inputs.
 func (m *memo) rebuilt(from *node, i int, kid *node) *node {
-	kids := make([]*node, len(from.kids))
-	copy(kids, from.kids)
-	kids[i] = kid
-	rels := make([]algebra.Rel, len(kids))
-	for k, kn := range kids {
+	rels := m.relBuf[:len(from.kids)]
+	for k, kn := range from.kids {
 		rels[k] = kn.rel
 	}
-	n := &node{rel: from.rel.WithInputs(rels), kids: kids}
+	rels[i] = kid.rel
+	n := newNode(from.rel.WithInputs(rels), len(from.kids))
+	copy(n.kids, from.kids)
+	n.kids[i] = kid
 	if _, isApply := n.rel.(*algebra.Apply); !isApply {
 		n.line = from.line
 	}
@@ -174,12 +205,10 @@ func (m *memo) id(n *node) int32 {
 		k.kids[i] = m.id(c)
 		n.newline = n.newline || c.newline
 	}
-	if n.line == "" {
-		n.line = m.f.Line(n.rel)
+	if n.line == 0 {
+		n.line = m.lineID(m.f.Line(n.rel))
 	}
-	if strings.IndexByte(n.line, '\n') >= 0 {
-		n.newline = true
-	}
+	n.newline = n.newline || m.lineNL[n.line]
 	k.line = n.line
 	id, ok := m.classes[k]
 	if !ok {
@@ -187,6 +216,17 @@ func (m *memo) id(n *node) int32 {
 		m.classes[k] = id
 	}
 	n.id = id
+	return id
+}
+
+// lineID interns a rendered line.
+func (m *memo) lineID(line string) int32 {
+	if id, ok := m.lines[line]; ok {
+		return id
+	}
+	id := int32(len(m.lineNL))
+	m.lines[line] = id
+	m.lineNL = append(m.lineNL, strings.IndexByte(line, '\n') >= 0)
 	return id
 }
 

@@ -1,7 +1,7 @@
 package opt
 
 import (
-	"container/heap"
+	"slices"
 
 	"orthoq/internal/algebra"
 	"orthoq/internal/core"
@@ -90,6 +90,9 @@ type Result struct {
 	// Rules is the sequence of rule applications that derived the
 	// chosen plan from its seed (empty when the seed won unchanged).
 	Rules []string
+	// CapHit reports that the search stopped at MaxSteps with plans
+	// still on the frontier, so the plan depends on the step budget.
+	CapHit bool
 }
 
 type frontierItem struct {
@@ -118,17 +121,44 @@ func (p *rulePath) rules() []string {
 	return out
 }
 
+// frontier is a binary min-heap of plans by cost. Its sift order is
+// container/heap's, so plans of equal cost pop in the same order, but
+// items are stored unboxed.
 type frontier []frontierItem
 
-func (f frontier) Len() int           { return len(f) }
-func (f frontier) Less(i, j int) bool { return f[i].cost < f[j].cost }
-func (f frontier) Swap(i, j int)      { f[i], f[j] = f[j], f[i] }
-func (f *frontier) Push(x any)        { *f = append(*f, x.(frontierItem)) }
-func (f *frontier) Pop() any {
-	old := *f
-	n := len(old)
-	it := old[n-1]
-	*f = old[:n-1]
+func (f *frontier) push(it frontierItem) {
+	*f = append(*f, it)
+	h := *f
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].cost < h[i].cost) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (f *frontier) pop() frontierItem {
+	h := *f
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].cost < h[j].cost {
+			j = j2
+		}
+		if !(h[j].cost < h[i].cost) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	*f = h[:n]
 	return it
 }
 
@@ -160,25 +190,29 @@ func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 
 	seen := seenSet{ids: map[int32]bool{}}
 	var fr frontier
-	push := func(n *node, path *rulePath) {
+	push := func(n *node, rule string, parent *rulePath) {
 		if shadow != nil {
 			shadow.check(m, n)
 		}
 		if !seen.admit(m, n) {
 			return
 		}
-		heap.Push(&fr, frontierItem{n: n, cost: c.costNode(n).cost, path: path})
+		var path *rulePath
+		if rule != "" {
+			path = &rulePath{rule: rule, parent: parent}
+		}
+		fr.push(frontierItem{n: n, cost: c.costNode(n).cost, path: path})
 	}
 	root := m.node(rel)
-	push(root, nil)
+	push(root, "", nil)
 	for _, s := range seeds {
-		push(m.node(s), nil)
+		push(m.node(s), "", nil)
 	}
 
 	best, bestCost := frontierItem{n: root}, c.costNode(root).cost
 	steps := 0
-	for fr.Len() > 0 && steps < maxSteps {
-		item := heap.Pop(&fr).(frontierItem)
+	for len(fr) > 0 && steps < maxSteps {
+		item := fr.pop()
 		steps++
 		if item.cost < bestCost {
 			best, bestCost = item, item.cost
@@ -188,23 +222,48 @@ func (o *Optimizer) Optimize(rel algebra.Rel, seeds ...algebra.Rel) *Result {
 		if item.cost > bestCost*12 {
 			continue
 		}
-		for _, cand := range o.neighbors(m, item.n) {
-			push(cand.n, &rulePath{rule: cand.rule, parent: item.path})
+		for _, cand := range o.neighbors(m, item.n, shadow) {
+			push(cand.n, cand.rule, item.path)
 		}
 	}
-	return &Result{Plan: best.n.rel, Cost: bestCost, Explored: steps, Rules: best.path.rules()}
+	return &Result{Plan: best.n.rel, Cost: bestCost, Explored: steps, Rules: best.path.rules(),
+		CapHit: len(fr) > 0}
 }
 
-// neighbors generates all single-rule rewrites anywhere in the tree,
-// tagged with the rule that produced them.
-func (o *Optimizer) neighbors(m *memo, n *node) []candidate {
-	var out []candidate
-	out = append(out, o.rulesAt(m, n)...)
+// neighbors generates all single-rule rewrites anywhere in n's
+// subtree, tagged with the rule that produced them, in a fixed order:
+// the rules at n, then each input's neighbors rebuilt into n. The set
+// is cached on n: a popped plan shares every node off its new spine
+// with the plan it came from, so a search step runs the rules only at
+// the nodes it has not met before, and the rebuilt spine for a rewrite
+// under an unchanged subtree is built once and shared by every plan
+// containing it. The cache assumes a rule's output depends only on its
+// node (the shadow check verifies it). A rule that allocates fresh
+// columns — LocalGroupBy's partial aggregates, GroupBy's _pre columns,
+// SegmentApply's clones — therefore runs once per node rather than
+// once per visit; renderings compare aliases, not ColIDs, so
+// deduplication and search order are unaffected, though the chosen
+// plan may carry different ColIDs than an uncached search would give.
+func (o *Optimizer) neighbors(m *memo, n *node, shadow *shadowCheck) []candidate {
+	if n.have&haveNbrs != 0 {
+		if shadow != nil {
+			shadow.checkNeighbors(o, m, n)
+		}
+		return n.nbrs
+	}
+	out := o.rulesAt(m, n)
+	var below [2][]candidate
 	for i, child := range n.kids {
-		for _, nc := range o.neighbors(m, child) {
+		below[i] = o.neighbors(m, child, shadow)
+	}
+	out = slices.Grow(out, len(below[0])+len(below[1]))
+	for i, nbrs := range below[:len(n.kids)] {
+		for _, nc := range nbrs {
 			out = append(out, candidate{n: m.rebuilt(n, i, nc.n), rule: nc.rule})
 		}
 	}
+	n.nbrs = out
+	n.have |= haveNbrs
 	return out
 }
 

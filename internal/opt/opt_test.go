@@ -11,6 +11,7 @@ import (
 	"orthoq/internal/core"
 	"orthoq/internal/exec"
 	"orthoq/internal/sql/parser"
+	"orthoq/internal/sql/types"
 	"orthoq/internal/stats"
 	"orthoq/internal/storage"
 	"orthoq/internal/tpch"
@@ -307,5 +308,29 @@ func TestEstimateFormatter(t *testing.T) {
 	out := FormatWithEstimates(md, st.Catalog, sc, r.Plan, nil)
 	if !strings.Contains(out, "rows≈") || !strings.Contains(out, "cost≈") {
 		t.Errorf("estimates missing:\n%s", out)
+	}
+}
+
+// TestEqClosureDeterministic pins the order of the implied equalities
+// eqClosure appends when several column classes gain one: the rotation
+// rules' output, and so its rendering, must be a function of the
+// input for the search's cached neighbor sets to hold.
+func TestEqClosureDeterministic(t *testing.T) {
+	eq := func(a, b algebra.ColID) algebra.Scalar {
+		return &algebra.Cmp{Op: algebra.CmpEq, L: &algebra.ColRef{Col: a}, R: &algebra.ColRef{Col: b}}
+	}
+	md := algebra.NewMetadata()
+	for i := 1; i <= 9; i++ {
+		md.AddColumn(fmt.Sprintf("c%d", i), types.Int)
+	}
+	conjs := []algebra.Scalar{eq(1, 2), eq(2, 3), eq(4, 5), eq(5, 6), eq(7, 8), eq(8, 9)}
+	render := func() string {
+		return algebra.FormatScalar(md, algebra.ConjoinAll(eqClosure(conjs)...))
+	}
+	want := render()
+	for i := 0; i < 50; i++ {
+		if got := render(); got != want {
+			t.Fatalf("eqClosure order varies between calls:\n%s\n%s", want, got)
+		}
 	}
 }

@@ -40,17 +40,23 @@ func tryMergeJoinOrder(m *memo, cat *catalog.Catalog, n *node) (algebra.Rel, boo
 	if len(lKeys) == 0 || m.mergeJoin(n) {
 		return nil, false
 	}
-	lBy, rBy := algebra.AscOrder(lKeys), algebra.AscOrder(rKeys)
+	// Only a Select/Project spine over an unordered Get takes a pushed
+	// order; rule the other inputs out before building orderings.
+	lCovered := ascCovers(m.delivered(n.kids[0]), lKeys)
+	rCovered := ascCovers(m.delivered(n.kids[1]), rKeys)
+	if !lCovered && !orderable(j.Left) || !rCovered && !orderable(j.Right) {
+		return nil, false
+	}
 	newL, newR := j.Left, j.Right
-	if !algebra.OrderCovers(m.delivered(n.kids[0]), lBy) {
-		nl, ok := pushOrder(m, cat, newL, lBy)
+	if !lCovered {
+		nl, ok := pushOrder(m, cat, newL, algebra.AscOrder(lKeys))
 		if !ok {
 			return nil, false
 		}
 		newL = nl
 	}
-	if !algebra.OrderCovers(m.delivered(n.kids[1]), rBy) {
-		nr, ok := pushOrder(m, cat, newR, rBy)
+	if !rCovered {
+		nr, ok := pushOrder(m, cat, newR, algebra.AscOrder(rKeys))
 		if !ok {
 			return nil, false
 		}
@@ -144,6 +150,27 @@ func spineGet(r algebra.Rel) (*algebra.Get, bool) {
 		return spineGet(t.Input)
 	}
 	return nil, false
+}
+
+// orderable reports whether pushOrder could install an order on r: r
+// is a Select/Project spine over a Get that promises no order yet.
+func orderable(r algebra.Rel) bool {
+	g, ok := spineGet(r)
+	return ok && len(g.Order) == 0
+}
+
+// ascCovers is algebra.OrderCovers(delivered, algebra.AscOrder(keys))
+// without building the required ordering.
+func ascCovers(delivered []algebra.Ordering, keys []algebra.ColID) bool {
+	if len(keys) > len(delivered) {
+		return false
+	}
+	for i, c := range keys {
+		if delivered[i].Col != c || delivered[i].Desc {
+			return false
+		}
+	}
+	return true
 }
 
 // orderedIndexFor reports whether g's table has an ordered index whose

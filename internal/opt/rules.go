@@ -105,9 +105,16 @@ func eqClosure(conjs []algebra.Scalar) []algebra.Scalar {
 		root := find(c)
 		classes[root] = append(classes[root], c)
 	}
-	out := append([]algebra.Scalar(nil), conjs...)
+	// Visit classes in a fixed order (by smallest member) so the
+	// rewrite, and its rendering, depend only on the input.
+	groups := make([][]algebra.ColID, 0, len(classes))
 	for _, members := range classes {
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		groups = append(groups, members)
+	}
+	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
+	out := append([]algebra.Scalar(nil), conjs...)
+	for _, members := range groups {
 		for i := 0; i < len(members); i++ {
 			for k := i + 1; k < len(members); k++ {
 				key := [2]algebra.ColID{members[i], members[k]}

@@ -147,6 +147,33 @@ func TestSearchShadowTPCH(t *testing.T) {
 	}
 }
 
+// TestSearchCapHit pins Result.CapHit: it is set only when the search
+// stops at MaxSteps with plans left on the frontier. Q2 hits the
+// default cap; Q6's frontier is empty after its one step, so it does
+// not even under MaxSteps 1.
+func TestSearchCapHit(t *testing.T) {
+	st, sc := benchTPCH(t)
+	for _, tc := range []struct {
+		query    string
+		maxSteps int
+		explored int
+		capHit   bool
+	}{
+		{"Q2", 0, 1200, true},
+		{"Q2", 1, 1, true},
+		{"Q6", 0, 1, false},
+		{"Q6", 1, 1, false},
+	} {
+		md, rel, seeds := prepSeeded(t, st, tpch.Queries[tc.query])
+		o := &Optimizer{Md: md, Cat: st.Catalog, Stats: sc, Config: Config{MaxSteps: tc.maxSteps}}
+		r := o.Optimize(rel, seeds...)
+		if r.Explored != tc.explored || r.CapHit != tc.capHit {
+			t.Errorf("%s MaxSteps=%d: explored=%d capHit=%v, want %d %v",
+				tc.query, tc.maxSteps, r.Explored, r.CapHit, tc.explored, tc.capHit)
+		}
+	}
+}
+
 // BenchmarkOptimizeTPCH times one cold Optimize per TPC-H query under
 // the default settings (the tpch_cold benchmark's optimizer work):
 //

@@ -17,8 +17,14 @@ var shadowReport atomic.Pointer[func(msg string)]
 // plans must get the same interned class ID exactly when their
 // renderings are equal. Each violation is passed to report, which must
 // be safe for concurrent use. A nil report turns the check off. The
-// returned func restores the previous setting. The check costs a
-// whole-tree rendering per push, so it is for tests only.
+// returned func restores the previous setting.
+//
+// The check also covers the neighbor-set cache (see
+// Optimizer.neighbors): each time a node's cached neighbor set is
+// reused, it is recomputed from scratch in a fresh memo, and the two
+// must list the same (rule, FormatRel rendering) sequence. The check
+// costs a whole-tree rendering per push and per reused candidate, so
+// it is for tests only.
 func SetShadowCheck(report func(msg string)) (restore func()) {
 	var p *func(string)
 	if report != nil {
@@ -50,4 +56,25 @@ func (s *shadowCheck) check(m *memo, n *node) {
 		s.report(fmt.Sprintf("class ID %d covers two renderings:\n%s---\n%s", id, prev, text))
 	}
 	s.byText[text], s.byID[id] = id, text
+}
+
+// checkNeighbors recomputes n's neighbor set in a fresh memo, so no
+// cached property or neighbor set is reused, and reports any
+// difference from the cached set.
+func (s *shadowCheck) checkNeighbors(o *Optimizer, m *memo, n *node) {
+	fresh := newMemo(m.md)
+	want := o.neighbors(fresh, fresh.node(n.rel), nil)
+	got := n.nbrs
+	if len(got) != len(want) {
+		s.report(fmt.Sprintf("cached neighbor set has %d rewrites, recomputed has %d, for:\n%s",
+			len(got), len(want), algebra.FormatRel(m.md, n.rel)))
+		return
+	}
+	for i := range got {
+		g, w := algebra.FormatRel(m.md, got[i].n.rel), algebra.FormatRel(m.md, want[i].n.rel)
+		if got[i].rule != want[i].rule || g != w {
+			s.report(fmt.Sprintf("neighbor %d differs from its recomputation: cached %s\n%s---\nrecomputed %s\n%s",
+				i, got[i].rule, g, want[i].rule, w))
+		}
+	}
 }

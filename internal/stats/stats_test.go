@@ -148,3 +148,20 @@ func TestSmallTableNoHistogram(t *testing.T) {
 		t.Errorf("interpolated LT = %v", got)
 	}
 }
+
+// TestTableLookupAllocs pins the allocation-free lookup path: a name
+// that is already lower-case is used as the map key without a copy,
+// and an upper-case spelling still folds to the same table.
+func TestTableLookupAllocs(t *testing.T) {
+	st := buildStore(t, 10, func(i int) types.Row {
+		return types.Row{types.NewInt(int64(i)), types.NewInt(0), types.NewFloat(0), types.NewString("a")}
+	})
+	c := Collect(st)
+	if c.Table("T") != c.Table("t") || c.Table("t") == nil {
+		t.Fatal("case-folded lookup disagrees")
+	}
+	name := "t"
+	if n := testing.AllocsPerRun(100, func() { _ = c.Table(name) }); n != 0 {
+		t.Errorf("lower-case Table lookup allocates %v times, want 0", n)
+	}
+}

@@ -509,11 +509,20 @@ func (s *Store) CreateTable(schema *catalog.Table) (*Table, error) {
 	return t, nil
 }
 
+// lower folds ASCII upper-case letters only, so stored keys stay
+// byte-stable; a name with none is returned as is, without copying.
 func lower(s string) string {
+	i := 0
+	for i < len(s) && (s[i] < 'A' || s[i] > 'Z') {
+		i++
+	}
+	if i == len(s) {
+		return s
+	}
 	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 32
+	for ; i < len(b); i++ {
+		if b[i] >= 'A' && b[i] <= 'Z' {
+			b[i] += 32
 		}
 	}
 	return string(b)

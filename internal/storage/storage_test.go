@@ -166,3 +166,19 @@ func TestIndexOn(t *testing.T) {
 		t.Errorf("IndexOn([2]) = %v, want nil", idx)
 	}
 }
+
+// TestStoreTableLookupAllocs checks that a lower-case table lookup
+// does not copy the name and that upper-case spellings still fold.
+func TestStoreTableLookupAllocs(t *testing.T) {
+	st := New(catalog.New())
+	if _, err := st.CreateTable(testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Table("T"); !ok {
+		t.Fatal("upper-case lookup missed")
+	}
+	name := "t"
+	if n := testing.AllocsPerRun(100, func() { st.Table(name) }); n != 0 {
+		t.Errorf("lower-case Table lookup allocates %v times, want 0", n)
+	}
+}

@@ -975,6 +975,7 @@ type prepared struct {
 	outCols  []algebra.ColID
 	outNames []string
 	steps    int
+	capHit   bool
 	cost     float64
 	par      int
 	noBatch  bool
@@ -1043,7 +1044,7 @@ func (db *DB) prepareAST(q ast.Query, cfg Config, params []types.Datum) (*prepar
 	if cfg.CostBased {
 		o := &opt.Optimizer{Md: md, Cat: db.store.Catalog, Stats: db.statsNow(), Config: cfg.optConfig()}
 		r := o.Optimize(rel, correlatedSeed(md, res.Rel, cfg)...)
-		p.plan, p.steps, p.cost = r.Plan, r.Explored, r.Cost
+		p.plan, p.steps, p.capHit, p.cost = r.Plan, r.Explored, r.CapHit, r.Cost
 		// The correlated seed is a strategy alternative, not a rewrite of
 		// the chosen plan, so only the winner's rule path is reported.
 		fired = append(fired, r.Rules...)
@@ -1483,7 +1484,11 @@ func (db *DB) Explain(sql string, cfg Config) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f, %d plans explored) ===\n", p.cost, p.steps)
+		capNote := ""
+		if p.capHit {
+			capNote = ", step cap hit"
+		}
+		fmt.Fprintf(&b, "\n=== cost-based plan (cost %.0f, %d plans explored%s) ===\n", p.cost, p.steps, capNote)
 		b.WriteString(opt.FormatWithEstimates(p.md, db.store.Catalog, ctx.Stats, p.plan, strategies))
 	}
 	fmt.Fprintf(&b, "\nresult cache: %s\n", db.resultCacheStatus(p.md, p.plan, cfg))

@@ -124,6 +124,27 @@ func TestSyntaxIndependence(t *testing.T) {
 	}
 }
 
+// TestExplainStepCap checks that EXPLAIN's cost-based header says when
+// the search stopped at its step cap with plans left unexplored.
+func TestExplainStepCap(t *testing.T) {
+	db := sharedDB(t)
+	cfg := DefaultConfig()
+	cfg.MaxSteps = 1
+	for _, tc := range []struct {
+		query  string
+		capHit bool
+	}{{"Q2", true}, {"Q6", false}} {
+		sql, _ := TPCHQuery(tc.query)
+		out, err := db.Explain(sql, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(out, "plans explored, step cap hit) ==="); got != tc.capHit {
+			t.Errorf("%s: step cap hit in header = %v, want %v\n%s", tc.query, got, tc.capHit, out)
+		}
+	}
+}
+
 func TestExplainStages(t *testing.T) {
 	db := sharedDB(t)
 	out, err := db.Explain(`

@@ -45,6 +45,12 @@ go test -run 'TestSearchGolden|TestSearchShadow|TestSeenSet' -race ./internal/op
 go test -run 'TestSearchShadowCorpus' -race .
 go test -run 'TestColSet' -race ./internal/algebra
 
+# Benchmark-module leg: benchmark/ is a nested module, so the root
+# ./... runs stop at it. Its self-tests compare the traced per-layer
+# pipeline's plan and rows with DB.QueryCfg (TestShort), check
+# BENCHMARK.json against the declared metrics, and cover --compare.
+(cd benchmark && go vet ./... && go test -count=1 .)
+
 # Apply-strategy smoke leg: the binding-batch experiment at a tiny
 # scale factor verifies all three Apply strategies return identical
 # results on the correlated workloads and that the trace counters
