@@ -166,15 +166,13 @@ func compileNode(ctx *Context, rel algebra.Rel) (*node, error) {
 				// group columns first (the correctness net).
 				in = sortWrapNode(ctx, in, t.GroupCols.Ordered(), t)
 			}
-			agg := iterator(&streamAggIter{ctx: ctx, in: in, gb: t, cols: cols,
-				st: ctx.traceStats(t)})
-			return newNode(maybeCacheSub(ctx, t, agg), cols), nil
+			return newNode(&streamAggIter{ctx: ctx, in: in, gb: t, cols: cols,
+				st: ctx.traceStats(t)}, cols), nil
 		}
 		ctx.noteStrategy(t, "hash")
 		hint := estimateGroups(ctx, t, estimateRows(ctx, t.Input))
-		agg := iterator(&hashAggIter{ctx: ctx, in: in, gb: t, cols: cols,
-			sizeHint: hint, st: ctx.traceStats(t)})
-		return newNode(maybeCacheSub(ctx, t, agg), cols), nil
+		return newNode(&hashAggIter{ctx: ctx, in: in, gb: t, cols: cols,
+			sizeHint: hint, st: ctx.traceStats(t)}, cols), nil
 
 	case *algebra.SegmentApply:
 		return compileSegmentApply(ctx, t)

@@ -26,7 +26,6 @@ import (
 	"orthoq/internal/algebra"
 	"orthoq/internal/eval"
 	"orthoq/internal/exec/faultinject"
-	"orthoq/internal/resultcache"
 	"orthoq/internal/sql/types"
 	"orthoq/internal/stats"
 	"orthoq/internal/storage"
@@ -114,13 +113,6 @@ type Context struct {
 	// query always sees one consistent state per table even while
 	// concurrent writers publish new versions.
 	Snap *storage.Snapshot
-	// SubCache, when non-nil, enables shared sub-expression
-	// materialization: eligible aggregation subtrees are fingerprinted
-	// at compile time and served from (or teed into) this cache. See
-	// subcache.go. Deliberately not copied to worker clones — workers
-	// compute per-morsel partial aggregations that must never be keyed
-	// as the logical subtree's full result.
-	SubCache *resultcache.Cache
 
 	// shared is the per-query state common to all worker clones.
 	shared *sharedState

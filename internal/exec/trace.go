@@ -123,9 +123,13 @@ const traceClockEvery = 15
 // elapsed time. Precision, not soundness, is what's amortized: an
 // individual operator's time can be off by up to traceClockEvery call
 // durations, which is noise at the whole-plan level the trace reports.
+// The strand's outermost Close (the strand finishing) always ends on
+// a real reading, so a strand shorter than traceClockEvery reads, such
+// as a short parallel worker, still charges its root nonzero time.
 type amortClock struct {
-	n    int
-	last time.Time
+	n     int
+	depth int // traceIter frames open on this strand
+	last  time.Time
 }
 
 // read returns the current amortized timestamp, refreshing from the
@@ -137,6 +141,20 @@ func (c *amortClock) read() time.Time {
 	}
 	c.n--
 	return c.last
+}
+
+// begin and end read a traceIter frame's start and end timestamps.
+func (c *amortClock) begin() time.Time {
+	c.depth++
+	return c.read()
+}
+
+func (c *amortClock) end(closing bool) time.Time {
+	c.depth--
+	if closing && c.depth == 0 {
+		c.n = 0
+	}
+	return c.read()
 }
 
 // traceIter wraps an iterator and accumulates statistics.
@@ -168,21 +186,21 @@ func (t *traceIter) note(n int, batched bool, elapsed time.Duration) {
 }
 
 func (t *traceIter) Open() error {
-	start := t.clk.read()
+	start := t.clk.begin()
 	err := t.in.Open()
-	t.st.Busy += t.clk.read().Sub(start)
+	t.st.Busy += t.clk.end(false).Sub(start)
 	t.st.Opens++
 	return err
 }
 
 func (t *traceIter) Next() (row types.Row, ok bool, err error) {
-	start := t.clk.read()
+	start := t.clk.begin()
 	row, ok, err = t.in.Next()
 	n := 0
 	if ok {
 		n = 1
 	}
-	t.note(n, false, t.clk.read().Sub(start))
+	t.note(n, false, t.clk.end(false).Sub(start))
 	return row, ok, err
 }
 
@@ -190,20 +208,20 @@ func (t *traceIter) Next() (row types.Row, ok bool, err error) {
 // adapter for operators without a native fast path) and accumulates
 // batch counts alongside rows.
 func (t *traceIter) NextBatch(b *Batch) error {
-	start := t.clk.read()
+	start := t.clk.begin()
 	err := nextBatch(t.in, b)
 	n := 0
 	if err == nil {
 		n = b.Len()
 	}
-	t.note(n, true, t.clk.read().Sub(start))
+	t.note(n, true, t.clk.end(false).Sub(start))
 	return err
 }
 
 func (t *traceIter) Close() error {
-	start := t.clk.read()
+	start := t.clk.begin()
 	err := t.in.Close()
-	t.st.Busy += t.clk.read().Sub(start)
+	t.st.Busy += t.clk.end(true).Sub(start)
 	return err
 }
 

@@ -35,6 +35,11 @@ type QueryRecord struct {
 	// normalization identities and cost-based transformations, in
 	// firing order, deduplicated.
 	Rules []string `json:"rules,omitempty"`
+	// PlansExplored and CapHit are the search effort of the compile
+	// that produced the plan (cache hits repeat them): plans explored,
+	// and whether the search stopped at its step cap.
+	PlansExplored int  `json:"plans_explored,omitempty"`
+	CapHit        bool `json:"cap_hit,omitempty"`
 	// DurationUS is the pure execution wall time in microseconds.
 	DurationUS int64 `json:"duration_us"`
 	// Rows is the result row count (0 on failure).

@@ -1,7 +1,8 @@
 // Package resultcache is the engine's semantic result cache: a
-// sharded, memory-accounted LRU of materialized query results and
-// shared intermediate sub-expressions (Roy et al., "Efficient and
-// Extensible Algorithms for Multi Query Optimization").
+// sharded, memory-accounted LRU of materialized whole query results.
+// It holds no intermediate sub-plan outputs; near-duplicate queries
+// that differ in literals share a compiled plan through the plan
+// cache, not a cached subtree.
 //
 // The cache itself is content-agnostic — it maps opaque string keys to
 // opaque payloads with a caller-declared byte footprint. Correctness
@@ -56,15 +57,10 @@ type Config struct {
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
-// Whole-result and sub-expression traffic are counted separately
-// (callers declare which family a lookup belongs to); the byte/entry
-// gauges cover both.
 type Stats struct {
 	Hits          uint64
 	Misses        uint64
 	Shared        uint64 // single-flight waiters served by a leader's run
-	SubHits       uint64
-	SubMisses     uint64
 	Inserts       uint64
 	Rejected      uint64 // Put refused: payload over MaxEntryBytes
 	Evictions     uint64
@@ -91,9 +87,6 @@ type Entry struct {
 	prev, next *Entry // shard LRU list (nil links when dead)
 }
 
-// Bytes returns the entry's declared footprint.
-func (e *Entry) Bytes() int64 { return e.bytes }
-
 // Cache is the sharded LRU plus the single-flight table.
 type Cache struct {
 	maxEntries    int64
@@ -108,8 +101,6 @@ type Cache struct {
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	shared        atomic.Uint64
-	subHits       atomic.Uint64
-	subMisses     atomic.Uint64
 	inserts       atomic.Uint64
 	rejected      atomic.Uint64
 	evictions     atomic.Uint64
@@ -159,19 +150,13 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// MaxEntryBytes reports the single-entry admission cap, so executors
-// building a candidate materialization can abandon it mid-drain the
-// moment it cannot possibly be admitted.
-func (c *Cache) MaxEntryBytes() int64 { return c.maxEntryBytes }
-
 func (c *Cache) shardOf(key string) *shard {
 	return &c.shards[maphash.String(c.seed, key)&(shardCount-1)]
 }
 
-// Lookup returns the payload for key, touching LRU recency. It does
-// not count a hit or miss — the caller declares the traffic family via
-// CountHit/CountMiss/CountSubHit/CountSubMiss.
-func (c *Cache) Lookup(key string) (any, bool) {
+// lookup returns the payload for key, touching LRU recency. It does
+// not count a hit or miss; Do records those.
+func (c *Cache) lookup(key string) (any, bool) {
 	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -221,13 +206,10 @@ func (c *Cache) Unpin(e *Entry) {
 	}
 }
 
-// CountHit etc. record lookup outcomes in the family the caller
-// belongs to (whole-result vs sub-expression).
-func (c *Cache) CountHit()     { c.hits.Add(1) }
-func (c *Cache) CountMiss()    { c.misses.Add(1) }
-func (c *Cache) CountShared()  { c.shared.Add(1) }
-func (c *Cache) CountSubHit()  { c.subHits.Add(1) }
-func (c *Cache) CountSubMiss() { c.subMisses.Add(1) }
+// CountHit and CountMiss record lookup outcomes decided outside Do
+// (the streaming path pins entries itself).
+func (c *Cache) CountHit()  { c.hits.Add(1) }
+func (c *Cache) CountMiss() { c.misses.Add(1) }
 
 // Put admits a payload under key, replacing any existing entry.
 // tables lists the table names whose version IDs participate in key
@@ -342,7 +324,7 @@ func (c *Cache) Purge() {
 // SrcMiss (this caller executed fn). Counters are recorded here;
 // callers must not double-count.
 func (c *Cache) Do(ctx context.Context, key string, tables []string, fn func() (any, int64, error)) (any, Source, error) {
-	if v, ok := c.Lookup(key); ok {
+	if v, ok := c.lookup(key); ok {
 		c.hits.Add(1)
 		return v, SrcHit, nil
 	}
@@ -362,7 +344,7 @@ func (c *Cache) Do(ctx context.Context, key string, tables []string, fn func() (
 		// Leader failed. Its error may be specific to its run (its own
 		// budget, fault injection, cancellation) — retry the cache once,
 		// then execute independently without becoming a new leader.
-		if v, ok := c.Lookup(key); ok {
+		if v, ok := c.lookup(key); ok {
 			c.hits.Add(1)
 			return v, SrcHit, nil
 		}
@@ -410,8 +392,6 @@ func (c *Cache) CacheStats() Stats {
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Shared:        c.shared.Load(),
-		SubHits:       c.subHits.Load(),
-		SubMisses:     c.subMisses.Load(),
 		Inserts:       c.inserts.Load(),
 		Rejected:      c.rejected.Load(),
 		Evictions:     c.evictions.Load(),

@@ -9,15 +9,25 @@ import (
 	"time"
 )
 
+// pinnedVal reads key's payload through Pin/Unpin.
+func pinnedVal(c *Cache, key string) (any, bool) {
+	e, ok := c.Pin(key)
+	if !ok {
+		return nil, false
+	}
+	defer c.Unpin(e)
+	return e.Val, true
+}
+
 func TestLookupPutInvalidate(t *testing.T) {
 	c := New(Config{})
-	if _, ok := c.Lookup("k1"); ok {
+	if c.Contains("k1") {
 		t.Fatal("lookup on empty cache hit")
 	}
 	if !c.Put("k1", []string{"orders"}, "v1", 100) {
 		t.Fatal("put rejected")
 	}
-	v, ok := c.Lookup("k1")
+	v, ok := pinnedVal(c, "k1")
 	if !ok || v.(string) != "v1" {
 		t.Fatalf("lookup = %v, %v", v, ok)
 	}
@@ -25,13 +35,13 @@ func TestLookupPutInvalidate(t *testing.T) {
 	c.Put("k3", []string{"customer"}, "v3", 25)
 
 	c.InvalidateTables("orders")
-	if _, ok := c.Lookup("k1"); ok {
+	if c.Contains("k1") {
 		t.Fatal("k1 survived invalidation of orders")
 	}
-	if _, ok := c.Lookup("k2"); ok {
+	if c.Contains("k2") {
 		t.Fatal("k2 survived invalidation of orders")
 	}
-	if _, ok := c.Lookup("k3"); !ok {
+	if !c.Contains("k3") {
 		t.Fatal("k3 dropped by invalidation of unrelated table")
 	}
 	st := c.CacheStats()
@@ -52,7 +62,7 @@ func TestPutReplaceAccounting(t *testing.T) {
 	if st.Entries != 1 || st.Bytes != 40 {
 		t.Fatalf("replace accounting = %+v", st)
 	}
-	v, _ := c.Lookup("k")
+	v, _ := pinnedVal(c, "k")
 	if v.(string) != "b" {
 		t.Fatalf("replace kept old value %v", v)
 	}
@@ -75,7 +85,7 @@ func TestEvictionLRU(t *testing.T) {
 	}
 	// Touch everything so recency is defined, then overflow.
 	for _, k := range []string{"a", "b", "c", "d"} {
-		c.Lookup(k)
+		pinnedVal(c, k)
 	}
 	c.Put("e", nil, "e", 10)
 	st := c.CacheStats()
@@ -111,7 +121,7 @@ func TestPinHoldsBytes(t *testing.T) {
 		t.Fatal("pin miss")
 	}
 	c.InvalidateTables("t")
-	if _, ok := c.Lookup("k"); ok {
+	if c.Contains("k") {
 		t.Fatal("invalidated entry still reachable")
 	}
 	if st := c.CacheStats(); st.Bytes != 100 {
@@ -207,7 +217,7 @@ func TestDoLeaderErrorWaiterRetries(t *testing.T) {
 	leaderDone.Wait()
 	waiterDone.Wait()
 	// The waiter's independent run populated the cache.
-	if _, ok := c.Lookup("k"); !ok {
+	if !c.Contains("k") {
 		t.Fatal("waiter fallback did not populate")
 	}
 }
@@ -248,7 +258,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 				case 0:
 					c.Put(k, []string{"t" + k}, i, 50)
 				case 1:
-					c.Lookup(k)
+					c.Contains(k)
 				case 2:
 					if e, ok := c.Pin(k); ok {
 						c.Unpin(e)

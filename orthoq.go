@@ -157,10 +157,9 @@ type Config struct {
 	PlanCache PlanCacheConfig
 	// ResultCache configures the semantic result cache: whole-result
 	// reuse keyed on (plan fingerprint, bound values, table versions)
-	// with single-flight deduplication, plus shared sub-expression
-	// materialization. The zero value disables it (see
-	// ResultCacheConfig); enablement is run state, never part of the
-	// plan identity.
+	// with single-flight deduplication. It stores whole results only.
+	// The zero value disables it (see ResultCacheConfig); enablement is
+	// run state, never part of the plan identity.
 	ResultCache ResultCacheConfig
 	// DisableRules suppresses individual rewrite rules by canonical
 	// name (see RuleNames): normalization identities stay correlated,
@@ -239,11 +238,10 @@ type runOpts struct {
 	queued       time.Duration
 	snap         *storage.Snapshot
 
-	// Result-cache arming (withResultCache): the cache instance, the
-	// sub-plan toggle, and the plan-affecting config fragment of the
-	// result key. nil rcache = result caching off for this run.
+	// Result-cache arming (withResultCache): the cache instance and
+	// the plan-affecting config fragment of the result key. nil rcache
+	// = result caching off for this run.
 	rcache   *resultcache.Cache
-	rcSub    bool
 	rcCfgKey string
 }
 
@@ -472,8 +470,6 @@ func (db *DB) Metrics() MetricsSnapshot {
 			Hits:          rs.Hits,
 			Misses:        rs.Misses,
 			Shared:        rs.Shared,
-			SubHits:       rs.SubHits,
-			SubMisses:     rs.SubMisses,
 			Inserts:       rs.Inserts,
 			Rejected:      rs.Rejected,
 			Evictions:     rs.Evictions,
@@ -636,6 +632,9 @@ type Rows struct {
 	Elapsed time.Duration
 	// OptimizerSteps counts plans explored during optimization.
 	OptimizerSteps int
+	// StepCapHit reports that the optimizer stopped at its step cap
+	// (Config.MaxSteps) with unexplored candidates left.
+	StepCapHit bool
 	// EstimatedCost is the cost model's value for the chosen plan.
 	EstimatedCost float64
 	// Trace is the per-operator execution statistics rendering; only
@@ -1114,9 +1113,6 @@ func (p *prepared) execContext(db *DB, params []types.Datum, opts runOpts) (*exe
 	ctx.Faults = opts.faults
 	ctx.Fingerprint = p.fingerprint
 	ctx.Snap = opts.snap
-	if opts.rcache != nil && opts.rcSub {
-		ctx.SubCache = opts.rcache
-	}
 	goCtx := opts.ctx
 	var cancel context.CancelFunc
 	if opts.timeout > 0 {
@@ -1169,6 +1165,7 @@ func (p *prepared) runTraced(db *DB, params []types.Datum, cacheStatus string, t
 		Plan:           algebra.FormatRel(p.md, p.plan),
 		Elapsed:        elapsed,
 		OptimizerSteps: p.steps,
+		StepCapHit:     p.capHit,
 		EstimatedCost:  p.cost,
 		Cache:          cacheStatus,
 		PeakMemBytes:   out.PeakMem,
@@ -1232,18 +1229,20 @@ func (db *DB) noteRun(p *prepared, cacheStatus string, elapsed time.Duration,
 		return
 	}
 	rec := obs.QueryRecord{
-		Fingerprint:  p.fingerprint,
-		Cache:        cacheStatus,
-		Session:      opts.session,
-		QueuedUS:     opts.queued.Microseconds(),
-		Rules:        p.rules,
-		DurationUS:   elapsed.Microseconds(),
-		Rows:         rows,
-		PeakMemBytes: peakMem,
-		Spills:       spills,
-		Workers:      workers,
-		Morsels:      morsels,
-		ErrorClass:   class,
+		Fingerprint:   p.fingerprint,
+		Cache:         cacheStatus,
+		Session:       opts.session,
+		QueuedUS:      opts.queued.Microseconds(),
+		Rules:         p.rules,
+		PlansExplored: p.steps,
+		CapHit:        p.capHit,
+		DurationUS:    elapsed.Microseconds(),
+		Rows:          rows,
+		PeakMemBytes:  peakMem,
+		Spills:        spills,
+		Workers:       workers,
+		Morsels:       morsels,
+		ErrorClass:    class,
 	}
 	if runErr != nil {
 		rec.Error = runErr.Error()
@@ -1325,8 +1324,7 @@ func (db *DB) streamOpts(sql string, cfg Config, opts runOpts) (*Stream, error) 
 		if key, _, ok := resultKey(prep, nil, opts); ok {
 			if e, found := opts.rcache.Pin(key); found {
 				opts.rcache.CountHit()
-				cr := e.Val.(*cachedResult)
-				return &Stream{rc: opts.rcache, entry: e, replay: cr.rows.Data,
+				return &Stream{rc: opts.rcache, entry: e, replay: e.Val.(*Rows).Data,
 					names: append([]string(nil), prep.outNames...),
 					db:    db, prep: prep, opts: opts, start: start}, nil
 			}

@@ -1,6 +1,8 @@
 package orthoq
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -125,7 +127,8 @@ func TestSyntaxIndependence(t *testing.T) {
 }
 
 // TestExplainStepCap checks that EXPLAIN's cost-based header says when
-// the search stopped at its step cap with plans left unexplored.
+// the search stopped at its step cap with plans left unexplored, and
+// that Rows and the query record carry the same search effort.
 func TestExplainStepCap(t *testing.T) {
 	db := sharedDB(t)
 	cfg := DefaultConfig()
@@ -141,6 +144,29 @@ func TestExplainStepCap(t *testing.T) {
 		}
 		if got := strings.Contains(out, "plans explored, step cap hit) ==="); got != tc.capHit {
 			t.Errorf("%s: step cap hit in header = %v, want %v\n%s", tc.query, got, tc.capHit, out)
+		}
+
+		// The same search effort reaches Rows and the query record.
+		var log bytes.Buffer
+		run := cfg
+		run.QueryLog = &log
+		rows, err := db.QueryCfg(sql, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows.StepCapHit != tc.capHit || rows.OptimizerSteps == 0 {
+			t.Errorf("%s: Rows.StepCapHit = %v (steps %d), want %v", tc.query, rows.StepCapHit, rows.OptimizerSteps, tc.capHit)
+		}
+		var rec QueryRecord
+		if err := json.Unmarshal(log.Bytes(), &rec); err != nil {
+			t.Fatalf("%s: query record: %v\n%s", tc.query, err, log.String())
+		}
+		if rec.CapHit != tc.capHit || rec.PlansExplored != rows.OptimizerSteps {
+			t.Errorf("%s: record cap_hit=%v plans_explored=%d, want %v and %d",
+				tc.query, rec.CapHit, rec.PlansExplored, tc.capHit, rows.OptimizerSteps)
+		}
+		if got := strings.Contains(log.String(), `"cap_hit"`); got != tc.capHit {
+			t.Errorf("%s: cap_hit present in record = %v, want %v: %s", tc.query, got, tc.capHit, log.String())
 		}
 	}
 }

@@ -23,6 +23,9 @@ import (
 // without running the plan), so embedders opt in explicitly; servers
 // enable it by default for wire traffic.
 //
+// The cache stores whole query results only: each cacheable miss
+// admits exactly one entry.
+//
 // A cached result is returned only when the plan fingerprint, the
 // plan-affecting config, every bound parameter value, and the pinned
 // version ID of every referenced table all match — a hit is provably
@@ -44,10 +47,6 @@ type ResultCacheConfig struct {
 	// MaxEntryBytes caps a single result; larger results run uncached
 	// every time (0 = default MaxBytes/8).
 	MaxEntryBytes int64
-	// DisableSubPlans turns off shared sub-expression materialization
-	// (caching eligible aggregation subtrees inside larger plans, per
-	// Roy et al. multi-query optimization). On by default when Enabled.
-	DisableSubPlans bool
 }
 
 // resultCache returns the DB's result cache, creating it from cfg's
@@ -66,9 +65,9 @@ func (db *DB) resultCache(cfg ResultCacheConfig) *resultcache.Cache {
 }
 
 // ResultCacheStats reports result-cache effectiveness counters: hits,
-// misses, single-flight shared executions, sub-plan hits/misses,
-// inserts, rejections, evictions, invalidations, and the live
-// entry/byte gauges. Zero value when no run has enabled the cache.
+// misses, single-flight shared executions, inserts, rejections,
+// evictions, invalidations, and the live entry/byte gauges. Zero value
+// when no run has enabled the cache.
 func (db *DB) ResultCacheStats() resultcache.Stats {
 	db.rcMu.Lock()
 	c := db.rcache
@@ -88,7 +87,6 @@ func (db *DB) withResultCache(cfg Config, opts runOpts) runOpts {
 		return opts
 	}
 	opts.rcache = db.resultCache(cfg.ResultCache)
-	opts.rcSub = !cfg.ResultCache.DisableSubPlans
 	opts.rcCfgKey = cfg.planKey()
 	if opts.snap == nil {
 		opts.snap = db.store.Snapshot()
@@ -117,14 +115,6 @@ func (db *DB) purgeResultCache() {
 	if c != nil {
 		c.Purge()
 	}
-}
-
-// cachedResult is the whole-result cache payload: the materialized
-// Rows plus its accounted footprint. The Rows value (and its Data) is
-// shared by every consumer and treated as immutable.
-type cachedResult struct {
-	rows  *Rows
-	bytes int64
 }
 
 // datumKey renders one value for a cache key, kind-tagged so values of
@@ -234,22 +224,21 @@ func (p *prepared) runCached(db *DB, params []types.Datum, cacheStatus string, o
 		if err != nil {
 			return nil, 0, err
 		}
-		return &cachedResult{rows: rows, bytes: approxRowsBytes(rows.Data)},
-			approxRowsBytes(rows.Data), nil
+		return rows, approxRowsBytes(rows.Data), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	cr := v.(*cachedResult)
+	cached := v.(*Rows)
 	if src == resultcache.SrcMiss {
 		// This caller executed; run already noted metrics and the log.
-		return cr.rows, nil
+		return cached, nil
 	}
 	// Hit or shared: copy the result header (payload rows are shared,
 	// immutable) and note a run of our own — the request happened even
 	// though execution did not.
 	elapsed := time.Since(start)
-	r := *cr.rows
+	r := *cached
 	r.Cache = "result"
 	r.Elapsed = elapsed
 	r.PeakMemBytes, r.Spills, r.Workers, r.Morsels = 0, 0, 0, 0

@@ -4,8 +4,7 @@ package orthoq
 // TPC-H and fuzz workloads, snapshot interplay (a pinned snapshot must
 // never observe a newer cached result and vice versa), copy-on-write
 // invalidation under a concurrent writer hammer (-race), single-flight
-// deduplication, streaming replay, EXPLAIN and metrics surfacing, and
-// shared sub-plan materialization across near-duplicate texts.
+// deduplication, streaming replay, and EXPLAIN and metrics surfacing.
 
 import (
 	"context"
@@ -22,14 +21,6 @@ import (
 func rcCfg() Config {
 	cfg := DefaultConfig()
 	cfg.ResultCache.Enabled = true
-	return cfg
-}
-
-// rcSerialCfg is rcCfg forced serial, the mode where sub-plan sharing
-// is eligible.
-func rcSerialCfg() Config {
-	cfg := rcCfg()
-	cfg.Parallelism = 1
 	return cfg
 }
 
@@ -415,7 +406,8 @@ func TestResultCacheExplainStatus(t *testing.T) {
 }
 
 // TestResultCacheMetricsSurface checks DB.Metrics carries the cache
-// snapshot once a run has enabled it.
+// snapshot once a run has enabled it, and that the cache stores whole
+// results only: every cacheable miss admits exactly one entry.
 func TestResultCacheMetricsSurface(t *testing.T) {
 	db := rcScratchDB(t)
 	if db.Metrics().ResultCache != nil {
@@ -431,45 +423,29 @@ func TestResultCacheMetricsSurface(t *testing.T) {
 	if m.Misses == 0 || m.Entries == 0 {
 		t.Fatalf("metrics = %+v, want recorded miss and live entry", m)
 	}
-}
 
-// TestResultCacheSubPlanSharing is the MQO leg: two near-duplicate
-// texts that differ only in an outer literal share the decorrelated
-// aggregation subtree, so the second query's whole-result miss still
-// reuses the first's materialized sub-plan.
-func TestResultCacheSubPlanSharing(t *testing.T) {
-	db := sharedDB(t)
-	tmpl := "select c_custkey from customer where %d < (select sum(o_totalprice) from orders where o_custkey = c_custkey)"
-
-	before := db.ResultCacheStats()
-	qa := fmt.Sprintf(tmpl, 100000)
-	qb := fmt.Sprintf(tmpl, 150000)
-	wantA, err := db.QueryCfg(qa, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	// Q6 variants and month aggregates: aggregations over a filtered
+	// scan, each one a whole-result miss on first sight.
+	tpch := sharedDB(t)
+	q6, _ := TPCHQuery("Q6")
+	var qs []string
+	for _, d := range []string{"0.03", "0.04", "0.08"} {
+		qs = append(qs, strings.NewReplacer("0.05", d, "0.07", d).Replace(q6))
 	}
-	wantB, err := db.QueryCfg(qb, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range []string{"1995-03-01", "1996-07-01", "1997-11-01"} {
+		qs = append(qs, fmt.Sprintf("select count(*), sum(o_totalprice) from orders "+
+			"where o_orderdate >= date '%s' and o_orderdate < date '%s' + interval '1' month", m, m))
 	}
-	gotA, err := db.QueryCfg(qa, rcSerialCfg())
-	if err != nil {
-		t.Fatal(err)
+	before := tpch.ResultCacheStats()
+	for _, q := range qs {
+		if _, err := tpch.QueryCfg(q, rcCfg()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	gotB, err := db.QueryCfg(qb, rcSerialCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := roundedFingerprint(gotA), roundedFingerprint(wantA); g != w {
-		t.Fatalf("query A differs:\n%s\nvs\n%s", g, w)
-	}
-	if g, w := roundedFingerprint(gotB), roundedFingerprint(wantB); g != w {
-		t.Fatalf("query B differs:\n%s\nvs\n%s", g, w)
-	}
-	after := db.ResultCacheStats()
-	if after.SubHits == before.SubHits {
-		t.Fatalf("no sub-plan hits recorded across near-duplicate texts (stats %+v -> %+v)",
-			before, after)
+	after := tpch.ResultCacheStats()
+	misses, inserts := after.Misses-before.Misses, after.Inserts-before.Inserts
+	if misses == 0 || inserts != misses {
+		t.Fatalf("%d misses admitted %d entries, want exactly one entry per miss", misses, inserts)
 	}
 }
 

@@ -27,6 +27,13 @@ if go list -deps ./internal/opt ./internal/core ./internal/algebra | grep -qx 'o
     echo "internal/opt, internal/core or internal/algebra depends on internal/exec" >&2
     exit 1
 fi
+# The executor runs plans and caches nothing across queries: whole-
+# result caching lives above it, so internal/exec never imports
+# internal/resultcache.
+if go list -deps ./internal/exec | grep -qx 'orthoq/internal/resultcache'; then
+    echo "internal/exec depends on internal/resultcache" >&2
+    exit 1
+fi
 
 # Fast smoke leg: batch-vs-row equivalence is the highest-signal
 # regression check for executor changes — fail it early and clearly
